@@ -15,17 +15,16 @@
 //	scg faults    -family MS -l 3 -n 2 -mode random -nodefrac 0.05 -linkfrac 0.05
 //	scg stats     -family MS -l 7 -n 1 -pairs 20000
 //	scg serve     -addr localhost:8650 -family MS -l 7 -n 1 -batch 512 -rate 500000
-//	scg loadtest  -family MS -k 8 -load 600000 -bulk 2048 -duration 5s
-//	scg bench-obs -family MS -k 8 -out BENCH_obs.json
+//	scg export    -family MS -l 2 -n 1 -out ms21.dot
+//	scg compare
 //
 // Every subcommand in main.go is reproducible from its flags: all
 // randomness flows from the -seed flag through seededRand, never from
 // the global math/rand source or the clock, and the file-wide
 // scg:deterministic directive there makes scglint enforce it.  The
-// service and observability commands in serve.go and loadtest.go
-// (serve, stats, bench-obs, loadtest) are the deliberate exception —
-// serving HTTP and measuring latency need the wall clock — and carry
-// no directive.
+// service and observability commands in serve.go (serve, stats) are
+// the deliberate exception — serving HTTP and timing stages need the
+// wall clock — and carry no directive.
 //
 // `scg serve` is the routing service (DESIGN.md §13): POST /route
 // answers one JSON pair, POST /route/bulk answers many (JSON, or the
@@ -40,13 +39,14 @@
 // request journeys, as JSON and as a Chrome trace-event document —
 // DESIGN.md §16), /debug/vars (expvar, including the scg_metrics,
 // scg_route_cache and scg_flight maps), and /debug/pprof/* (the
-// standard profiling handlers).  `scg loadtest` drives the service
-// open-loop (Poisson arrivals, zipf pairs) and reports latency
-// percentiles plus the server-side stage breakdown, regenerating
-// BENCH_serve.json.  `scg stats` routes a seeded workload and dumps
-// the registry once to stdout (-stages prints the cumulative stage
-// table instead).  `scg bench-obs` times the warm routing hot path
-// with telemetry disabled and enabled, brackets the flight recorder
-// the same way, and reports the overhead percentages, which
-// BENCH_obs.json snapshots and DESIGN.md §11/§16 budget at under 2%.
+// standard profiling handlers).  `scg stats` routes a seeded workload
+// and dumps the registry once to stdout (-stages prints the cumulative
+// stage table instead).
+//
+// Performance is measured by the repository's benchmark in bench/
+// (bench/README.md), not by scg: it builds the router and service the
+// way `scg serve` does, drives them open-loop over loopback, checks
+// every route, and reports end-to-end latency and throughput plus a
+// per-layer cost ladder (route_many, batcher, codec, loopback, client;
+// obs.overhead_frac and obs.flight_overhead_frac for the telemetry).
 package main

@@ -1,15 +1,14 @@
 // The scg:deterministic directive covers every subcommand in this
 // file: scglint bans wall-clock reads and global randomness, so each
 // run is reproducible from its flags alone.  The observability
-// commands (serve, stats, bench-obs) legitimately need the clock and
-// the network and live in serve.go, outside the directive.  See
-// doc.go for the package documentation.
+// commands (serve, stats) legitimately need the clock and the network
+// and live in serve.go, outside the directive.  See doc.go for the
+// package documentation.
 //
 //scg:deterministic
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -49,18 +48,8 @@ func main() {
 		err = cmdTasks(args)
 	case "faults":
 		err = cmdFaults(args)
-	case "bench-routes":
-		err = cmdBenchRoutes(args)
-	case "bench-tables":
-		err = cmdBenchTables(args)
-	case "bench-obs":
-		err = cmdBenchObs(args)
-	case "bench-shards":
-		err = cmdBenchShards(args)
 	case "serve":
 		err = cmdServe(args)
-	case "loadtest":
-		err = cmdLoadtest(args)
 	case "stats":
 		err = cmdStats(args)
 	case "export":
@@ -93,12 +82,7 @@ commands:
   bag       solve a scrambled ball-arrangement game
   tasks     simulate MNB / TE communication tasks (Corollaries 2–3)
   faults    inject node/link faults, reroute adaptively, report degradation
-  bench-routes  measure pair-routing throughput (legacy vs cached engine), write BENCH_routes.json
-  bench-tables  measure table vs cache vs greedy routing + table build costs, write BENCH_tables.json
-  bench-obs measure telemetry overhead (obs disabled vs enabled), write BENCH_obs.json
-  bench-shards  measure shard-count scaling, k=10 serving, and warm-restart times, write BENCH_shards.json
   serve     routing service + debug endpoint: /route, /route/bulk (batched, admission-controlled), /metrics, /metrics.json, /trace/routes, /debug/vars, /debug/pprof/*; -shards/-store for the sharded engine with warm-state snapshots
-  loadtest  open-loop load driver for the routing service (Poisson arrivals, zipf pairs), write BENCH_serve.json
   stats     route a seeded workload, then dump the metrics registry once
   export    write the network as Graphviz DOT
   compare   degree/diameter table across families and k
@@ -111,8 +95,8 @@ func usage() {
 
 // seededRand builds the one explicitly seeded generator a subcommand
 // threads through its run.  Subcommands that hand off to library code
-// (sim.FaultSpec, comm.RouteBenchConfig) pass the seed itself; either
-// way the -seed flag is the sole source of randomness.
+// (sim.FaultSpec) pass the seed itself; either way the -seed flag is
+// the sole source of randomness.
 func seededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // netFlags adds the family/l/n/k flags and resolves them to a network.
@@ -423,158 +407,6 @@ func cmdFaults(args []string) error {
 		return fmt.Errorf("unknown task %q", *task)
 	}
 	return nil
-}
-
-func cmdBenchRoutes(args []string) error {
-	fs := flag.NewFlagSet("bench-routes", flag.ExitOnError)
-	families := fs.String("families", "MS,IS", "comma-separated families to measure at k symbols")
-	k := fs.Int("k", 8, "symbols (k = 8 → 40320 nodes, the snapshot protocol)")
-	pairs := fs.Int("pairs", 200000, "workload pairs per engine measurement")
-	legacyPairs := fs.Int("legacy-pairs", 20000, "pair cap for the slow per-call legacy baseline")
-	seed := fs.Int64("seed", 1, "workload seed")
-	skew := fs.Float64("skew", 1.2, "zipf exponent (> 1)")
-	uniform := fs.Bool("uniform", false, "also measure a uniform workload")
-	out := fs.String("out", "", "write the JSON report here (default: stdout only)")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-
-	var nws []*core.Network
-	for _, name := range strings.Split(*families, ",") {
-		f, err := core.ParseFamily(name)
-		if err != nil {
-			return err
-		}
-		nw, err := benchNetworkAtK(f, *k)
-		if err != nil {
-			return err
-		}
-		nws = append(nws, nw)
-	}
-	stopProf, err := pf.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	rep, err := comm.BenchRoutes(comm.RouteBenchConfig{
-		Networks:    nws,
-		Pairs:       *pairs,
-		LegacyPairs: *legacyPairs,
-		Seed:        *seed,
-		Skew:        *skew,
-		Uniform:     *uniform,
-	})
-	if err != nil {
-		return err
-	}
-	for _, e := range rep.Entries {
-		speed := ""
-		if e.SpeedupVsLegacy > 0 {
-			speed = fmt.Sprintf("  %6.1fx vs legacy", e.SpeedupVsLegacy)
-		}
-		cache := ""
-		if e.CacheEntries > 0 {
-			cache = fmt.Sprintf("  hitrate=%.3f entries=%d", e.CacheHitRate, e.CacheEntries)
-		}
-		fmt.Printf("%-10s %-14s %-16s pairs=%-7d %12.0f pairs/s%s%s\n",
-			e.Net, e.Workload, e.Engine, e.Pairs, e.PairsPerSec, speed, cache)
-	}
-	if *out != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	return nil
-}
-
-func cmdBenchTables(args []string) error {
-	fs := flag.NewFlagSet("bench-tables", flag.ExitOnError)
-	families := fs.String("families", "MS,IS", "comma-separated families to measure at k symbols")
-	k := fs.Int("k", 8, "symbols for the throughput comparison (k = 8 → 40320 nodes)")
-	buildKs := fs.String("build-ks", "7,8,9,10", "comma-separated ks for the dense build-cost sweep")
-	pairs := fs.Int("pairs", 200000, "workload pairs per timed pass")
-	seed := fs.Int64("seed", 1, "workload seed")
-	skew := fs.Float64("skew", 1.2, "zipf exponent (> 1)")
-	out := fs.String("out", "", "write the JSON report here (default: stdout only)")
-	pf := addProfileFlags(fs)
-	fs.Parse(args)
-
-	var nws []*core.Network
-	for _, name := range strings.Split(*families, ",") {
-		f, err := core.ParseFamily(name)
-		if err != nil {
-			return err
-		}
-		nw, err := benchNetworkAtK(f, *k)
-		if err != nil {
-			return err
-		}
-		nws = append(nws, nw)
-	}
-	var ks []int
-	for _, s := range strings.Split(*buildKs, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &v); err != nil {
-			return fmt.Errorf("bad -build-ks entry %q: %w", s, err)
-		}
-		ks = append(ks, v)
-	}
-	stopProf, err := pf.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	rep, err := comm.BenchTables(comm.TableBenchConfig{
-		Networks: nws,
-		BuildKs:  ks,
-		Pairs:    *pairs,
-		Seed:     *seed,
-		Skew:     *skew,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("host: %s\n", rep.Parallelism)
-	for _, e := range rep.Entries {
-		extra := ""
-		if e.SpeedupVsCacheWarm > 0 {
-			extra = fmt.Sprintf("  %5.2fx vs cache_warm", e.SpeedupVsCacheWarm)
-		}
-		if e.TableBytes > 0 {
-			extra += fmt.Sprintf("  table=%dB build=%.3fs", e.TableBytes, e.BuildSeconds)
-		}
-		fmt.Printf("%-10s %-14s %-14s pairs=%-7d %12.0f pairs/s  %7.0f ns/pair%s\n",
-			e.Net, e.Workload, e.Engine, e.Pairs, e.PairsPerSec, e.NsPerPair, extra)
-	}
-	for _, b := range rep.Builds {
-		fmt.Printf("build %-10s k=%-2d nodes=%-9d %8.3fs  %9dB resident\n",
-			b.Net, b.K, b.Nodes, b.BuildSeconds, b.Bytes)
-	}
-	if *out != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	return nil
-}
-
-// benchNetworkAtK instantiates family f with k symbols, choosing the
-// (l, n) split with the most boxes (n = 1) so super generators are
-// exercised; IS is single-box by definition.
-func benchNetworkAtK(f core.Family, k int) (*core.Network, error) {
-	if f == core.IS {
-		return core.NewIS(k)
-	}
-	return core.New(f, k-1, 1)
 }
 
 func cmdExport(args []string) error {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,28 +60,76 @@ func mainSwitchCases(t *testing.T) []string {
 	return cases
 }
 
-// TestUsageListsEverySubcommand is the drift guard: every case in
-// main()'s subcommand switch (minus the help aliases) must appear as
-// a roster line in usageText, so a new command cannot ship
-// undocumented.
+// TestUsageListsEverySubcommand is the drift guard between main()'s
+// subcommand switch and the two places that name commands: every case
+// (minus the help aliases) must appear as a roster line in usageText,
+// and every roster line and every `scg <cmd>` example in doc.go must
+// name a case, so a command can neither ship undocumented nor outlive
+// its deletion in the docs.
 func TestUsageListsEverySubcommand(t *testing.T) {
 	helpAliases := map[string]bool{"help": true, "-h": true, "--help": true}
-	cases := mainSwitchCases(t)
-	seen := map[string]bool{}
-	for _, c := range cases {
+	cases := map[string]bool{}
+	for _, c := range mainSwitchCases(t) {
 		if helpAliases[c] {
 			continue
 		}
-		seen[c] = true
+		cases[c] = true
 		if !strings.Contains(usageText, "\n  "+c+" ") {
 			t.Errorf("subcommand %q is in main()'s switch but not in usageText", c)
 		}
 	}
-	for _, want := range []string{"info", "route", "bench-routes", "bench-tables", "bench-obs", "serve", "loadtest", "stats"} {
-		if !seen[want] {
+	for _, want := range []string{"info", "route", "serve", "stats"} {
+		if !cases[want] {
 			t.Errorf("expected subcommand %q in main()'s switch", want)
 		}
 	}
+
+	roster := usageRoster(t)
+	for _, c := range roster {
+		if !cases[c] {
+			t.Errorf("usageText lists %q, which is not a case of main()'s switch", c)
+		}
+	}
+	if len(roster) != len(cases) {
+		t.Errorf("usageText lists %d commands for %d switch cases", len(roster), len(cases))
+	}
+
+	doc, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples := docCommandRE.FindAllStringSubmatch(string(doc), -1)
+	if len(examples) == 0 {
+		t.Fatal("doc.go names no scg commands")
+	}
+	for _, m := range examples {
+		c := m[1] + m[2]
+		if !cases[c] {
+			t.Errorf("doc.go shows `scg %s`, which is not a case of main()'s switch", c)
+		}
+	}
+}
+
+// docCommandRE matches a command named in doc.go: a tab-indented
+// usage example line, or an inline `scg <cmd>` code span.
+var docCommandRE = regexp.MustCompile("(?m)^//\t+scg ([a-z][a-z-]*)|`scg ([a-z][a-z-]*)")
+
+// usageRoster returns the command names usageText lists: the first
+// word of each indented line under "commands:".
+func usageRoster(t *testing.T) []string {
+	t.Helper()
+	_, body, ok := strings.Cut(usageText, "\ncommands:\n")
+	if !ok {
+		t.Fatal("usageText has no commands: section")
+	}
+	var names []string
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			break
+		}
+		names = append(names, strings.Fields(line)[0])
+	}
+	return names
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) []byte {

@@ -1,8 +1,8 @@
 package main
 
 // Drift guards and smoke tests for the routing-service face of scg:
-// the serve/loadtest flag rosters are read out of the source AST so a
-// flag cannot ship undocumented or silently disappear, and the
+// the serve flag rosters are read out of the source AST so a flag
+// cannot ship undocumented or silently disappear, and the
 // /route + /route/bulk endpoints are driven end to end through the
 // same mux `scg serve` binds.
 
@@ -73,8 +73,8 @@ func flagRegistrations(t *testing.T, file, fn string) map[string]string {
 }
 
 // TestServeFlagRoster pins the batching/admission knobs addServeFlags
-// exposes (shared by serve and loadtest): each must exist with a
-// non-empty usage string, and nothing unexpected may creep in.
+// exposes: each must exist with a non-empty usage string, and nothing
+// unexpected may creep in.
 func TestServeFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "addServeFlags")
 	want := []string{"batch", "max-wait", "queue", "route-workers", "max-bulk", "rate", "burst", "drain-wait", "slo", "slo-objective"}
@@ -92,8 +92,7 @@ func TestServeFlagRoster(t *testing.T) {
 }
 
 // TestShardFlagRoster pins the sharded-engine knobs addShardFlags
-// exposes (shared by serve and loadtest) with the same exact-roster
-// discipline.
+// exposes with the same exact-roster discipline.
 func TestShardFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "addShardFlags")
 	want := []string{"shards", "store", "shard-residency"}
@@ -107,38 +106,6 @@ func TestShardFlagRoster(t *testing.T) {
 	}
 	if len(flags) != len(want) {
 		t.Errorf("addShardFlags registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
-	}
-}
-
-// TestProfileFlagRoster pins the -cpuprofile/-memprofile pair every
-// measurement subcommand shares.
-func TestProfileFlagRoster(t *testing.T) {
-	flags := flagRegistrations(t, "profile.go", "addProfileFlags")
-	want := []string{"cpuprofile", "memprofile"}
-	for _, name := range want {
-		usage, ok := flags[name]
-		if !ok {
-			t.Errorf("addProfileFlags no longer registers -%s", name)
-		} else if usage == "" {
-			t.Errorf("-%s has an empty usage string", name)
-		}
-	}
-	if len(flags) != len(want) {
-		t.Errorf("addProfileFlags registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
-	}
-}
-
-// TestLoadtestFlagRoster pins the loadtest driver's own knobs the
-// same way.
-func TestLoadtestFlagRoster(t *testing.T) {
-	flags := flagRegistrations(t, "loadtest.go", "cmdLoadtest")
-	for _, name := range []string{"family", "k", "target", "load", "bulk", "conns", "clients", "duration", "seed", "skew", "warm", "json", "out"} {
-		usage, ok := flags[name]
-		if !ok {
-			t.Errorf("cmdLoadtest no longer registers -%s", name)
-		} else if usage == "" {
-			t.Errorf("-%s has an empty usage string", name)
-		}
 	}
 }
 

@@ -1,9 +1,8 @@
-// Package benchenv captures the runtime provenance a committed BENCH
-// report must carry to be reproducible: numbers measured under a
-// non-default garbage-collection regime (GOGC, GOMEMLIMIT) or an
-// unexpected parallelism are not comparable to the defaults, and
-// nothing in the JSON said so before this package.  Every bench report
-// writer embeds Provenance alongside its own fields.
+// Package benchenv captures the runtime provenance a benchmark run file
+// must carry to be reproducible: numbers measured under a non-default
+// garbage-collection regime (GOGC, GOMEMLIMIT) or an unexpected
+// parallelism are not comparable to the defaults.  The benchmark in
+// bench/ records Provenance in every run file it writes.
 package benchenv
 
 import (
@@ -14,7 +13,7 @@ import (
 	"runtime/debug"
 )
 
-// Provenance is the shared fragment of every BENCH_*.json.
+// Provenance is the runtime regime a measurement was taken under.
 type Provenance struct {
 	Parallelism string `json:"parallelism"`
 	GoMaxProcs  int    `json:"go_max_procs"`
@@ -27,7 +26,7 @@ type Provenance struct {
 }
 
 // Capture snapshots the current runtime provenance with the given
-// engine shard count (pass 1 for unsharded benches).
+// engine shard count (pass 1 for an unsharded router).
 func Capture(shards int) Provenance {
 	if shards < 1 {
 		shards = 1

@@ -53,33 +53,10 @@ func StarRoute(k int) (sim.RouteFunc, error) {
 // Cayley network (star-emulation routing, Theorems 1–3), served
 // through the symmetry-normalized route cache: every caller of this
 // function — the TE simulator, the experiments, `scg tasks` — rides
-// the bulk engine.  Differential tests pin its output to
-// SCGRouteLegacy port for port.
+// the bulk engine.  Differential tests pin its output to the original
+// per-call router port for port.
 func SCGRoute(nw *core.Network) sim.RouteFunc {
 	return NewSCGEngine(nw).RouteFunc()
-}
-
-// SCGRouteLegacy is the original per-call routing function: unrank
-// both endpoints, expand the star route generator by generator, look
-// every port up by name.  It allocates on every hop and is kept as
-// the differential-testing oracle and the bench-routes baseline.
-func SCGRouteLegacy(nw *core.Network) sim.RouteFunc {
-	set := nw.Set()
-	k := nw.K()
-	return func(src, dst int) ([]int, error) {
-		u := perm.Unrank(k, int64(src))
-		v := perm.Unrank(k, int64(dst))
-		seq := nw.Route(u, v)
-		ports := make([]int, len(seq))
-		for i, g := range seq {
-			idx := set.Index(g)
-			if idx < 0 {
-				return nil, fmt.Errorf("comm: generator %s not a port of %s", g.Name(), nw.Name())
-			}
-			ports[i] = idx
-		}
-		return ports, nil
-	}
 }
 
 // MNBReport compares a measured multinode broadcast against its

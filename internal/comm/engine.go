@@ -39,12 +39,6 @@ func NewSCGEngineWithCache(nw *core.Network, cfg core.CacheConfig) *SCGEngine {
 // Network returns the routed network.
 func (e *SCGEngine) Network() *core.Network { return e.nw }
 
-// CachedRouter returns the underlying cached router.
-func (e *SCGEngine) CachedRouter() *core.CachedRouter { return e.cr }
-
-// Stats returns the route-cache counters.
-func (e *SCGEngine) Stats() core.CacheStats { return e.cr.Stats() }
-
 // AppendRoute satisfies sim.AppendRouteFunc: the port route from src
 // to dst appended onto buf as generator indices.
 func (e *SCGEngine) AppendRoute(buf []gens.GenIndex, src, dst int) ([]gens.GenIndex, error) {

@@ -105,7 +105,7 @@ func TestZipfianCacheHitRate(t *testing.T) {
 	if _, err := sim.Throughput(nt, engine.AppendRoute, wl); err != nil {
 		t.Fatal(err)
 	}
-	cold := engine.Stats()
+	cold := engine.cr.Stats()
 	if cold.HitRate() < 0.5 {
 		t.Fatalf("cold zipfian hit rate %.3f < 0.5 (%v)", cold.HitRate(), cold)
 	}
@@ -115,88 +115,10 @@ func TestZipfianCacheHitRate(t *testing.T) {
 	if _, err := sim.Throughput(nt, engine.AppendRoute, wl); err != nil {
 		t.Fatal(err)
 	}
-	warm := engine.Stats()
+	warm := engine.cr.Stats()
 	warmHits := warm.Hits - cold.Hits
 	warmMisses := warm.Misses - cold.Misses
 	if warmMisses != 0 {
 		t.Fatalf("second pass over the same workload missed %d times (hits %d)", warmMisses, warmHits)
-	}
-}
-
-// TestBenchRoutesSmall runs the full bench-routes protocol on a tiny
-// network so the JSON pipeline stays covered by tier-1 tests.
-func TestBenchRoutesSmall(t *testing.T) {
-	ms := core.MustNew(core.MS, 4, 1) // k = 5
-	rep, err := BenchRoutes(RouteBenchConfig{
-		Networks:    []*core.Network{ms},
-		Pairs:       2000,
-		LegacyPairs: 500,
-		Seed:        5,
-		Uniform:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 workloads × 4 engines.
-	if len(rep.Entries) != 8 {
-		t.Fatalf("%d entries, want 8", len(rep.Entries))
-	}
-	for _, e := range rep.Entries {
-		if e.Pairs <= 0 || e.PairsPerSec <= 0 || e.MeanRouteLen <= 0 {
-			t.Fatalf("degenerate entry: %+v", e)
-		}
-		if e.Engine != "legacy_route" && e.SpeedupVsLegacy <= 0 {
-			t.Fatalf("missing speedup: %+v", e)
-		}
-	}
-}
-
-// TestBenchTablesSmall runs the full bench-tables protocol on a tiny
-// network so the table-vs-cache-vs-greedy pipeline stays covered by
-// tier-1 tests; this doubles as the table-mode differential smoke for
-// ci.sh (BenchTables fails if the engines' hop totals disagree).
-func TestBenchTablesSmall(t *testing.T) {
-	ms := core.MustNew(core.MS, 4, 1) // k = 5
-	rep, err := BenchTables(TableBenchConfig{
-		Networks: []*core.Network{ms},
-		BuildKs:  []int{5, 6},
-		Pairs:    2000,
-		Seed:     5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Parallelism == "" {
-		t.Fatalf("report does not state host parallelism")
-	}
-	// 5 engines on one network.
-	if len(rep.Entries) != 5 {
-		t.Fatalf("%d entries, want 5", len(rep.Entries))
-	}
-	var sawSpeedup bool
-	for _, e := range rep.Entries {
-		if e.Pairs <= 0 || e.PairsPerSec <= 0 || e.MeanRouteLen <= 0 {
-			t.Fatalf("degenerate entry: %+v", e)
-		}
-		if e.Engine == "table_warm" {
-			sawSpeedup = e.SpeedupVsCacheWarm > 0
-			// Dense at small k: dims (1 byte/rank) + the fast lane (k-byte
-			// perm slab + 4-byte successor rank per entry).
-			if want := ms.N() * int64(5+ms.K()); e.TableBytes != want {
-				t.Fatalf("table_warm reports %d bytes, want %d", e.TableBytes, want)
-			}
-		}
-	}
-	if !sawSpeedup {
-		t.Fatalf("table_warm entry missing speedup_vs_cache_warm")
-	}
-	// 2 families × 2 ks in the build sweep.
-	if len(rep.Builds) != 4 {
-		t.Fatalf("%d build entries, want 4", len(rep.Builds))
-	}
-	for _, b := range rep.Builds {
-		if b.Bytes != b.Nodes*int64(5+b.K) || b.BuildSeconds <= 0 || b.Mode != "dense" {
-			t.Fatalf("degenerate build entry: %+v", b)
-		}
 	}
 }

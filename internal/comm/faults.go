@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"supercayley/internal/core"
-	"supercayley/internal/perm"
 	"supercayley/internal/sim"
 )
 
@@ -22,30 +21,6 @@ import (
 // order exactly (differential tests pin this).
 func SCGRouter(nw *core.Network) sim.Router {
 	return NewSCGEngine(nw).Router()
-}
-
-// SCGRouterLegacy is the original adaptive-routing pair built on the
-// per-call SCGRouteLegacy and core.StepOptions; kept as the
-// differential-testing oracle for SCGRouter.
-func SCGRouterLegacy(nw *core.Network) sim.Router {
-	set, k := nw.Set(), nw.K()
-	return sim.Router{
-		Route: SCGRouteLegacy(nw),
-		Alternates: func(cur, dst int) ([]int, error) {
-			u := perm.Unrank(k, int64(cur))
-			v := perm.Unrank(k, int64(dst))
-			opts := nw.StepOptions(u, v)
-			ports := make([]int, len(opts))
-			for i, g := range opts {
-				idx := set.Index(g)
-				if idx < 0 {
-					return nil, fmt.Errorf("comm: generator %s not a port of %s", g.Name(), nw.Name())
-				}
-				ports[i] = idx
-			}
-			return ports, nil
-		},
-	}
 }
 
 // FaultSweepReport is a RouteSweep outcome tagged with its network

@@ -144,9 +144,10 @@ func (cr *CachedRouter) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64
 	s := cr.scratch.Get().(*RouteScratch)
 	// One sampling decision covers both the route tracer and the deep
 	// stage timers: sampled pairs time their table/cache/kernel phases
-	// into the scg_stage_* histograms (see appendRoute).
+	// into the scg_stage_* histograms (see appendRoute).  The sampler
+	// answers false whenever telemetry is disabled.
 	sampled := obs.RouteTrace.Sampled(uint64(src)<<32 ^ uint64(dstRank))
-	s.timed = sampled && obs.StageTimingOn()
+	s.timed = sampled
 	mark := len(dst)
 	if rt := cr.rankTable; rt != nil {
 		// Rank-addressed fast lane: the table resolves both endpoints

@@ -23,7 +23,8 @@
 //
 // The whole layer can be switched off with SetEnabled(false) — every
 // increment degrades to a single atomic load — which is how the
-// committed BENCH_obs.json A/B-measures the instrumentation overhead.
+// benchmark's ladder A/B-measures the instrumentation overhead
+// (obs.overhead_frac in bench/README.md).
 package obs
 
 import (
@@ -55,8 +56,8 @@ var enabled uint32 = 1
 // SetEnabled switches the telemetry layer on or off process-wide.
 // Off, every increment and observation degrades to one atomic load —
 // the switch exists so instrumentation overhead can be A/B-measured
-// (see `scg bench-obs`), not for production use: the layer is
-// designed to stay on.
+// (the benchmark's obs.overhead_frac rung), not for production use:
+// the layer is designed to stay on.
 func SetEnabled(on bool) {
 	v := uint32(0)
 	if on {

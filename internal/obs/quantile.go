@@ -3,9 +3,11 @@ package obs
 // Histogram quantiles.  The fixed-bucket histograms trade resolution
 // for allocation-free observation, so a quantile is reported as the
 // inclusive upper bound of the bucket the requested rank lands in:
-// exact for hop histograms (unit buckets), a ≤  2× upper bound for
-// power-of-two latency histograms.  That is the resolution the serve
-// latency roster and `scg loadtest` report p50/p99/p999 at.
+// exact for hop histograms (unit buckets), a ≤ 2× upper bound for
+// power-of-two latency histograms.  That is the resolution the windowed
+// SLO gauges and `scg stats -stages` report quantiles at; the benchmark
+// (bench/) takes its latency percentiles from raw per-request samples
+// instead.
 
 import "math"
 
@@ -41,9 +43,9 @@ func (h HistSnap) Quantile(q float64) (uint64, bool) {
 
 // Sub returns the histogram delta h − prev, aligning buckets by
 // upper bound: the distribution of the observations made between the
-// prev snapshot and this one.  The registry is cumulative, so a run
-// that wants its own percentiles (the loadtest's timed window after
-// an untimed warm phase) snapshots before and after and subtracts.
+// prev snapshot and this one.  The registry is cumulative, so a
+// rolling window (WindowRing) snapshots at its boundaries and
+// subtracts.
 func (h HistSnap) Sub(prev HistSnap) HistSnap {
 	out := h
 	out.Buckets = make([]BucketSnap, 0, len(h.Buckets))
@@ -59,16 +61,4 @@ func (h HistSnap) Sub(prev HistSnap) HistSnap {
 	out.Sum = h.Sum - prev.Sum
 	out.Overflow = h.Overflow - prev.Overflow
 	return out
-}
-
-// HistQuantile snapshots the named histogram and returns its q
-// quantile; ok is false when the histogram is unregistered or empty.
-func (r *Registry) HistQuantile(name string, q float64) (uint64, bool) {
-	r.mu.Lock()
-	h, ok := r.hists[name]
-	r.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return histSnapOf(h).Quantile(q)
 }

@@ -57,8 +57,8 @@ func TestQuantileEdges(t *testing.T) {
 	}
 }
 
-// TestHistSnapSub pins the before/after windowing the loadtest report
-// leans on: subtracting a prior snapshot leaves exactly the
+// TestHistSnapSub pins the before/after windowing the rolling windows
+// lean on: subtracting a prior snapshot leaves exactly the
 // observations made in between.
 func TestHistSnapSub(t *testing.T) {
 	reg := NewRegistry()
@@ -84,22 +84,6 @@ func TestHistSnapSub(t *testing.T) {
 	// cumulative histogram holds a 100.
 	if got, ok := delta.Quantile(0.33); !ok || got >= 100 {
 		t.Fatalf("window p33 (%d, %v) includes pre-window observations", got, ok)
-	}
-}
-
-// TestHistQuantileRegistry pins the by-name convenience lookup.
-func TestHistQuantileRegistry(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Pow2Hist("t_q_ns", "test")
-	if _, ok := reg.HistQuantile("t_q_ns", 0.5); ok {
-		t.Error("empty histogram reported a quantile by name")
-	}
-	if _, ok := reg.HistQuantile("no_such_hist", 0.5); ok {
-		t.Error("unregistered histogram reported a quantile")
-	}
-	h.Observe(0, 7)
-	if got, ok := reg.HistQuantile("t_q_ns", 0.5); !ok || got != 7 {
-		t.Errorf("HistQuantile = (%d, %v), want (7, true)", got, ok)
 	}
 }
 

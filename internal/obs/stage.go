@@ -18,7 +18,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // MaxStages bounds the stage roster; NewStage panics past it.  Stage 0
@@ -119,31 +118,6 @@ func (s Stage) Observe(slot int, ns uint64) {
 	}
 }
 
-// stageTiming gates the sampled deep-path stage timers (cache hit,
-// kernel, table walk, shard dispatch): the flight recorder's journey
-// marks are cheap enough to stay unconditional, but the per-route
-// timers live inside the warm routing loop and ride the route-trace
-// sampler; this switch lets bench-obs A/B them.  1 = on (the default).
-var stageTiming uint32 = 1
-
-// SetStageTiming switches the sampled per-route stage timers on or
-// off process-wide (journey marks and stage histograms stay live).
-func SetStageTiming(on bool) {
-	v := uint32(0)
-	if on {
-		v = 1
-	}
-	atomic.StoreUint32(&stageTiming, v)
-}
-
-// StageTimingOn reports whether sampled deep-path stage timing is on
-// (it is also off whenever the whole telemetry layer is disabled).
-//
-//scg:noalloc
-func StageTimingOn() bool {
-	return atomic.LoadUint32(&stageTiming) == 1 && Enabled()
-}
-
 // StageLat is one row of a per-stage latency breakdown.
 type StageLat struct {
 	Stage   string  `json:"stage"`
@@ -155,29 +129,16 @@ type StageLat struct {
 	SharePc float64 `json:"share_pct"`
 }
 
-// StageBreakdown summarizes every scg_stage_*_ns histogram of after,
-// optionally as a delta against before (pass nil for cumulative
-// totals).  Rows are sorted by total time descending, then name, and
-// SharePc is each stage's share of the summed stage time — the table
-// `scg loadtest` and `scg stats -stages` print.
-func StageBreakdown(before, after *Snapshot) []StageLat {
-	prev := map[string]HistSnap{}
-	if before != nil {
-		for _, h := range before.Histograms {
-			prev[h.Name] = h
-		}
-	}
+// StageBreakdown summarizes every scg_stage_*_ns histogram of snap.
+// Rows are sorted by total time descending, then name, and SharePc is
+// each stage's share of the summed stage time — the table
+// `scg stats -stages` prints.
+func StageBreakdown(snap Snapshot) []StageLat {
 	var rows []StageLat
 	var total uint64
-	for _, h := range after.Histograms {
+	for _, h := range snap.Histograms {
 		name, ok := stageOfHist(h.Name)
-		if !ok {
-			continue
-		}
-		if p, ok := prev[h.Name]; ok {
-			h = h.Sub(p)
-		}
-		if h.Count == 0 {
+		if !ok || h.Count == 0 {
 			continue
 		}
 		p50, _ := h.Quantile(0.50)

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -219,6 +220,65 @@ func TestAdmission429OverHTTP(t *testing.T) {
 	}
 	if resp := post("polite"); resp.StatusCode != http.StatusOK {
 		t.Errorf("polite client rejected with %d while greedy was throttled", resp.StatusCode)
+	}
+}
+
+// TestOversizedBulkRejectedBeforeAdmission pins the order of the bulk
+// checks on both lanes: a request over MaxBulk is a 400 from the
+// decoder and spends none of the client's tokens — not even one over
+// Burst, which the bucket could never admit — so the 16-token burst
+// still covers the two full-size requests that follow.
+func TestOversizedBulkRejectedBeforeAdmission(t *testing.T) {
+	nw := core.MustNew(core.MS, 2, 2)
+	svc := NewService(core.NewCachedRouter(nw, core.CacheConfig{}), ServiceConfig{
+		Batch: Config{MaxBulk: 8},
+		Limit: LimitConfig{Rate: 1, Burst: 16},
+	})
+	mux := http.NewServeMux()
+	svc.RegisterOn(mux)
+	srv := httptest.NewServer(mux)
+	defer func() { srv.Close(); svc.Drain() }()
+
+	post := func(binaryLane bool, pairs int) int {
+		t.Helper()
+		srcs, dsts := make([]int64, pairs), make([]int64, pairs)
+		for i := range srcs {
+			srcs[i], dsts[i] = int64(i), int64(i+1)
+		}
+		ctype, client := "application/json", "json-client"
+		body, err := json.Marshal(bulkRequest{Srcs: srcs, Dsts: dsts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if binaryLane {
+			ctype, client, body = BulkContentType, "binary-client", encodeBulkReq(srcs, dsts)
+		}
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/route/bulk", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ctype)
+		req.Header.Set("X-SCG-Client", client)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	for _, binaryLane := range []bool{false, true} {
+		for _, step := range []struct{ pairs, want int }{
+			{9, http.StatusBadRequest},  // over MaxBulk, within Burst
+			{17, http.StatusBadRequest}, // over MaxBulk and over Burst
+			{8, http.StatusOK},
+			{8, http.StatusOK}, // the burst is still whole
+		} {
+			if got := post(binaryLane, step.pairs); got != step.want {
+				t.Errorf("binary=%v: %d-pair request answered %d, want %d", binaryLane, step.pairs, got, step.want)
+			}
+		}
 	}
 }
 

@@ -4,8 +4,9 @@ package serve
 // the scg_serve_* prefix.  The request path records two latency
 // timestamps per admitted job — queue wait (enqueue → flush pickup)
 // and end-to-end service time (handler entry → response written) —
-// into power-of-two histograms, so `scg loadtest` and the /metrics
-// endpoint report p50/p99/p999 without any per-request allocation.
+// into power-of-two histograms, so the /metrics endpoint and the
+// windowed SLO gauges report p50/p99/p999 without any per-request
+// allocation.
 // Batch shape (pairs per flush) lands in its own histogram: its count
 // is the flush total and its sum the admitted-pair total, which makes
 // queue amortization visible as mean pairs per batch.

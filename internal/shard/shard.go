@@ -25,9 +25,10 @@
 //
 // Residency per shard at k ≤ FastLaneMaxK defaults to one shared
 // immutable dense fast-lane table (tiny, read-only, no reason to
-// duplicate); k ≥ 10 — or ForceBanded, which the scaling bench uses —
-// gives every shard a banded table under Config.ShardResidentBytes,
-// with budget refusals declining to the shard's cache and kernel.
+// duplicate); k ≥ 10 — or ForceBanded, which `scg serve
+// -shard-residency` sets — gives every shard a banded table under
+// Config.ShardResidentBytes, with budget refusals declining to the
+// shard's cache and kernel.
 // persist.go adds the warm-state round trip: a Store seam (memory or
 // file-backed) each shard saves its table bands and MRU-ordered cache
 // entries into on drain, and faults them back from on restore.
@@ -73,9 +74,9 @@ type Config struct {
 	// the engine runs a shared dense table.
 	ShardResidentBytes int64
 	// ForceBanded gives every shard its own banded table even at small
-	// k where a shared dense table would win — the configuration the
-	// shard-count scaling bench measures, where aggregate warm state
-	// is the variable.
+	// k where a shared dense table would win, so a per-shard residency
+	// budget binds; `scg serve -shard-residency` sets it, and the
+	// benchmark's serve-cold-k10 workload runs that configuration.
 	ForceBanded bool
 	// BuildWorkers parallelizes the dense build; 0 → GOMAXPROCS.
 	BuildWorkers int
@@ -258,7 +259,7 @@ func (e *Engine) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64) ([]ge
 	key := uint64(src)*uint64(e.n) + uint64(dstRank)
 	// One sampled stage-timing decision per dispatch, sharing the route
 	// tracer's hash so the timed pair set stays deterministic.
-	timed := obs.StageTimingOn() && obs.RouteTrace.Sampled(key)
+	timed := obs.RouteTrace.Sampled(key)
 	var t0 int64
 	if timed {
 		t0 = obs.NowNs()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -14,7 +15,9 @@ func bfsRouter(t *testing.T, nt *Net) Router {
 	t.Helper()
 	n, d := nt.N(), nt.Ports()
 	// distTo[dst][v] = BFS distance from v to dst, computed by reverse
-	// BFS on the out-port graph; memoized lazily.
+	// BFS on the out-port graph; memoized lazily under mu, because
+	// RouteSweep calls the router from parallel workers.
+	var mu sync.Mutex
 	distTo := make(map[int][]int32)
 	rev := make([][]int32, n) // in-neighbors
 	for v := 0; v < n; v++ {
@@ -24,6 +27,8 @@ func bfsRouter(t *testing.T, nt *Net) Router {
 		}
 	}
 	dist := func(dst int) []int32 {
+		mu.Lock()
+		defer mu.Unlock()
 		if d, ok := distTo[dst]; ok {
 			return d
 		}

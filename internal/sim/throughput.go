@@ -3,9 +3,11 @@ package sim
 // Bulk routing throughput: seeded pair workloads (uniform and
 // zipfian) and a parallel driver that routes every pair through a
 // compact-index routing engine, verifies delivery against the
-// network's neighbor tables, and reports pairs-per-second.  This is
-// the measurement harness behind `scg bench-routes` and the
-// BENCH_routes.json snapshot.
+// network's neighbor tables, and reports pairs-per-second.  The
+// workload generators also seed the repository benchmark (bench/);
+// its per-layer ladder, not this driver, is the measurement of record,
+// because the delivery replay here runs inside the timed loop
+// (about 240 ns per pair at k = 8: bench/README.md's replay_ns).
 
 import (
 	"fmt"
@@ -66,8 +68,8 @@ func ZipfWorkload(n, pairs int, seed int64, skew float64) Workload {
 
 // PoissonArrivals returns the cumulative arrival offsets of a seeded
 // Poisson process at ratePerSec: n independent-exponential gaps, the
-// open-loop arrival schedule `scg loadtest` fixes before its run so
-// that a slow server cannot slow the offered load down.
+// open-loop arrival schedule the benchmark (bench/) fixes before each
+// timed phase so that a slow server cannot slow the offered load down.
 func PoissonArrivals(n int, ratePerSec float64, seed int64) []time.Duration {
 	if ratePerSec <= 0 {
 		panic("sim: PoissonArrivals needs a positive rate")
@@ -105,24 +107,9 @@ func (f AppendRouteFunc) AsRouteFunc() RouteFunc {
 	}
 }
 
-// ThroughputOpts tunes a throughput measurement.
-type ThroughputOpts struct {
-	// Engine labels the measured routing engine in the result.
-	Engine string
-	// SkipReplay moves the per-route delivery verification OUT of the
-	// timed loop: the timed pass routes only, and a second, untimed
-	// pass re-routes every pair and replays it through the neighbor
-	// tables.  Every pair is still verified — only the clock changes.
-	// Use it when comparing engines whose routing cost is small
-	// relative to the replay (table/cache warm paths), so the ratio
-	// reflects routing, not shared verification overhead.
-	SkipReplay bool
-}
-
 // ThroughputResult reports a bulk routing run.
 type ThroughputResult struct {
 	Net      string
-	Engine   string
 	Workload string
 	Pairs    int
 	// TotalHops sums route lengths across pairs.
@@ -147,11 +134,6 @@ func (r ThroughputResult) String() string {
 // neighbor tables — a route that does not land on its destination
 // fails the run.
 func Throughput(nt *Net, route AppendRouteFunc, wl Workload) (ThroughputResult, error) {
-	return ThroughputWith(nt, route, wl, ThroughputOpts{})
-}
-
-// ThroughputWith is Throughput with options (see ThroughputOpts).
-func ThroughputWith(nt *Net, route AppendRouteFunc, wl Workload, opts ThroughputOpts) (ThroughputResult, error) {
 	pairs := wl.Pairs()
 	if pairs == 0 || len(wl.Dsts) != pairs {
 		return ThroughputResult{}, fmt.Errorf("sim: throughput needs a non-empty workload with matching src/dst lists")
@@ -178,19 +160,17 @@ func ThroughputWith(nt *Net, route AppendRouteFunc, wl Workload, opts Throughput
 				errv[worker] = fmt.Errorf("sim: route %d→%d: %w", src, dst, err)
 				return
 			}
-			if !opts.SkipReplay {
-				cur := src
-				for _, p := range buf {
-					if int(p) >= d {
-						errv[worker] = fmt.Errorf("sim: route %d→%d uses invalid port %d", src, dst, p)
-						return
-					}
-					cur = nt.Neighbor(cur, int(p))
-				}
-				if cur != dst {
-					errv[worker] = fmt.Errorf("sim: route %d→%d delivers to %d", src, dst, cur)
+			cur := src
+			for _, p := range buf {
+				if int(p) >= d {
+					errv[worker] = fmt.Errorf("sim: route %d→%d uses invalid port %d", src, dst, p)
 					return
 				}
+				cur = nt.Neighbor(cur, int(p))
+			}
+			if cur != dst {
+				errv[worker] = fmt.Errorf("sim: route %d→%d delivers to %d", src, dst, cur)
+				return
 			}
 			hops += int64(len(buf))
 		}
@@ -203,46 +183,12 @@ func ThroughputWith(nt *Net, route AppendRouteFunc, wl Workload, opts Throughput
 			return ThroughputResult{}, err
 		}
 	}
-	if opts.SkipReplay {
-		// The clock stopped; now verify every pair by re-routing and
-		// replaying outside the measurement.
-		parallelChunks(pairs, func(worker, lo, hi int) {
-			buf := make([]gens.GenIndex, 0, 512)
-			for i := lo; i < hi; i++ {
-				src, dst := int(wl.Srcs[i]), int(wl.Dsts[i])
-				var err error
-				buf, err = route(buf[:0], src, dst)
-				if err != nil {
-					errv[worker] = fmt.Errorf("sim: route %d→%d: %w", src, dst, err)
-					return
-				}
-				cur := src
-				for _, p := range buf {
-					if int(p) >= d {
-						errv[worker] = fmt.Errorf("sim: route %d→%d uses invalid port %d", src, dst, p)
-						return
-					}
-					cur = nt.Neighbor(cur, int(p))
-				}
-				if cur != dst {
-					errv[worker] = fmt.Errorf("sim: route %d→%d delivers to %d", src, dst, cur)
-					return
-				}
-			}
-		})
-		for _, err := range errv {
-			if err != nil {
-				return ThroughputResult{}, err
-			}
-		}
-	}
 	mTputRuns.Inc()
 	mTputPairs.Add(uint64(pairs))
 	mTputHops.Add(uint64(totalHops))
 	hTputRunNs.Observe(0, uint64(elapsed.Nanoseconds()))
 	res := ThroughputResult{
 		Net:          nt.Name(),
-		Engine:       opts.Engine,
 		Workload:     wl.Name,
 		Pairs:        pairs,
 		TotalHops:    totalHops,

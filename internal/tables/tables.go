@@ -346,9 +346,6 @@ func (t *Table) Mode() Mode { return t.mode }
 // Policy returns the banded fault policy.
 func (t *Table) Policy() FaultPolicy { return t.policy }
 
-// BuildTime returns the initial Build wall time.
-func (t *Table) BuildTime() time.Duration { return time.Duration(t.buildNS) }
-
 // SetBudget installs (or clears, with 0) the residency budget.
 // Snapshots do not carry the budget — it is deployment configuration,
 // not table state — so loaders re-apply it here.  SetBudget is a setup

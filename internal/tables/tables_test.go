@@ -236,7 +236,7 @@ func TestBuildModes(t *testing.T) {
 	if tab.N() != nw.N() || tab.K() != nw.K() || tab.Name() != nw.Name() {
 		t.Fatalf("table metadata mismatch: %v", tab.Stats())
 	}
-	if tab.BuildTime() <= 0 {
+	if tab.Stats().BuildNS <= 0 {
 		t.Fatalf("dense build reported no build time")
 	}
 	if _, err := Build(nw, Config{BandBits: 31}); err == nil {
