@@ -261,5 +261,9 @@ echo "== benchmark smoke (cd bench && go test ./...)"
 echo "== fuzz smoke"
 go test -run='^$' -fuzz=FuzzLehmerRoundTrip -fuzztime=10s ./internal/perm
 go test -run='^$' -fuzz=FuzzRouteDelivers -fuzztime=10s ./internal/core
+# The two bulk decoders read bytes off the network; both are fuzzed
+# through the /route/bulk handler.
+go test -run='^$' -fuzz='^FuzzBulkBinary$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz='^FuzzBulkJSON$' -fuzztime=10s ./internal/serve
 
 echo "ci: all checks passed"

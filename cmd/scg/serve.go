@@ -126,7 +126,6 @@ func routeRankWorkload(nw *core.Network, pairs int, seed int64, skew float64) (f
 // function's AST).
 type serveFlags struct {
 	batch        *int
-	maxWait      *time.Duration
 	queue        *int
 	workers      *int
 	maxBulk      *int
@@ -139,8 +138,7 @@ type serveFlags struct {
 
 func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	return &serveFlags{
-		batch:        fs.Int("batch", 512, "flush a batch when its pair count reaches this"),
-		maxWait:      fs.Duration("max-wait", 250*time.Microsecond, "flush a non-empty batch when its oldest job has waited this long"),
+		batch:        fs.Int("batch", 512, "stop draining queued jobs into a flush once it holds this many pairs"),
 		queue:        fs.Int("queue", 1024, "bounded intake queue capacity in jobs (full queue answers 429)"),
 		workers:      fs.Int("route-workers", 0, "flush workers draining the batch queue (0 = GOMAXPROCS)"),
 		maxBulk:      fs.Int("max-bulk", 65536, "largest pair count one bulk request may carry"),
@@ -156,7 +154,6 @@ func (sf *serveFlags) serviceConfig() serve.ServiceConfig {
 	return serve.ServiceConfig{
 		Batch: serve.Config{
 			MaxBatch:  *sf.batch,
-			MaxWait:   *sf.maxWait,
 			QueueJobs: *sf.queue,
 			Workers:   *sf.workers,
 			MaxBulk:   *sf.maxBulk,

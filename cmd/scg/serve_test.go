@@ -77,7 +77,7 @@ func flagRegistrations(t *testing.T, file, fn string) map[string]string {
 // unexpected may creep in.
 func TestServeFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "addServeFlags")
-	want := []string{"batch", "max-wait", "queue", "route-workers", "max-bulk", "rate", "burst", "drain-wait", "slo", "slo-objective"}
+	want := []string{"batch", "queue", "route-workers", "max-bulk", "rate", "burst", "drain-wait", "slo", "slo-objective"}
 	for _, name := range want {
 		usage, ok := flags[name]
 		if !ok {

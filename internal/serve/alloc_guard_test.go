@@ -9,7 +9,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"supercayley/internal/core"
 )
@@ -24,7 +23,7 @@ import (
 func TestSubmitWarmAllocFree(t *testing.T) {
 	nw := core.MustNew(core.MS, 7, 1) // k = 8, the snapshot protocol
 	cr := core.NewCachedRouter(nw, core.CacheConfig{})
-	b := NewBatcher(cr, Config{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1})
+	b := NewBatcher(cr, Config{MaxBatch: 1, Workers: 1})
 	defer b.Close()
 
 	j := b.NewJob()

@@ -34,7 +34,6 @@ func TestQueueFullBackpressure(t *testing.T) {
 	n := perm.Factorial(nw.K())
 	b := NewBatcher(cr, Config{
 		MaxBatch:  1, // flush every job alone; no collect window
-		MaxWait:   time.Millisecond,
 		QueueJobs: 1,
 		Workers:   1,
 		MaxBulk:   1 << 20,

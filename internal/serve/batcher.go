@@ -5,21 +5,22 @@
 // backpressure, always-on latency telemetry, and graceful drain.
 //
 // The pipeline is a channel-fed bounded queue of jobs (one job per
-// HTTP request, carrying one or many rank pairs).  Flush workers
-// collect jobs until either the accumulated pair count reaches
-// Config.MaxBatch or the oldest collected job has waited
-// Config.MaxWait, then route the concatenated batch in one
-// core.RouteManyInto call and fan the flat result back out to the
-// per-job response buffers.  Every buffer on the path — job, batch,
-// bulk result — is pooled or worker-owned and reused, so the
-// steady-state enqueue→flush cycle allocates nothing (the CI alloc
-// guard pins this).
+// HTTP request, carrying one or many rank pairs).  A flush worker
+// takes a job plus only the jobs already queued, up to
+// Config.MaxBatch pairs, routes them at once in one
+// core.RouteManyInto call, and fans the result back out to the jobs.
+// Nothing waits for company: a lone job routes immediately, and under
+// load batches grow because jobs pile up while the workers route.
+// Every buffer on the path — job, batch, bulk result — is pooled or
+// worker-owned and reused, so the steady-state enqueue→flush cycle
+// allocates nothing (the CI alloc guard pins this).
 package serve
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,14 +34,10 @@ import (
 // Config tunes the batching pipeline.  The zero value of any field
 // picks its default.
 type Config struct {
-	// MaxBatch flushes a batch as soon as its accumulated pair count
-	// reaches this (default 512 — under core's sequential-flush cutoff,
-	// so a steady-state flush routes inline and allocation-free).
+	// MaxBatch ends a worker's drain of the queue once its batch holds
+	// this many pairs (default 512 — under core's sequential-flush
+	// cutoff, so a steady-state flush routes inline and alloc-free).
 	MaxBatch int
-	// MaxWait flushes a non-empty batch when its oldest job has waited
-	// this long (default 250µs), bounding queue latency under light
-	// load.
-	MaxWait time.Duration
 	// QueueJobs bounds the intake queue in jobs; a full queue rejects
 	// with ErrQueueFull, which the HTTP layer maps to 429 +
 	// Retry-After (default 1024).
@@ -56,9 +53,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 512
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 250 * time.Microsecond
 	}
 	if c.QueueJobs <= 0 {
 		c.QueueJobs = 1024
@@ -253,7 +247,8 @@ func (b *Batcher) Submit(j *Job) error {
 // Close drains the pipeline: new Submits are refused with
 // ErrDraining, every already-admitted job completes and its Submit
 // returns, and the flush workers exit.  Close blocks until the drain
-// finishes and is idempotent.
+// finishes, then takes the batcher off the queue-depth gauge's
+// roster; it is idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if !b.draining {
@@ -262,6 +257,7 @@ func (b *Batcher) Close() {
 	}
 	b.mu.Unlock()
 	b.wg.Wait()
+	unregisterBatcher(b)
 }
 
 // Draining reports whether the batcher has begun (or finished)
@@ -272,16 +268,13 @@ func (b *Batcher) Draining() bool {
 	return b.draining
 }
 
-// worker collects jobs into a batch until the pair count reaches
-// MaxBatch or the oldest job has waited MaxWait, then flushes.  The
-// batch slice, the concatenated rank buffers, and the bulk result are
-// worker-owned and reused across flushes.
+// worker blocks for one job, then drains only the jobs already
+// queued — until the batch holds MaxBatch pairs or a receive finds the
+// queue empty — and flushes at once.  The batch slice, the
+// concatenated rank buffers, and the bulk result are worker-owned and
+// reused across flushes.
 func (b *Batcher) worker(slot int) {
 	defer b.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	var batch []*Job
 	var srcs, dsts []int64
 	out := &core.BulkRoutes{}
@@ -293,34 +286,21 @@ func (b *Batcher) worker(slot int) {
 		j.jny.Mark(stQueueWait)
 		batch = append(batch[:0], j)
 		pairs := j.Pairs()
-		closed := false
-		if pairs < b.cfg.MaxBatch {
-			timer.Reset(b.cfg.MaxWait)
-			fired := false
-		collect:
-			for pairs < b.cfg.MaxBatch {
-				select {
-				case j2, ok2 := <-b.queue:
-					if !ok2 {
-						closed = true
-						break collect
-					}
-					j2.jny.Mark(stQueueWait)
-					batch = append(batch, j2)
-					pairs += j2.Pairs()
-				case <-timer.C:
-					fired = true
-					break collect
+	collect:
+		for pairs < b.cfg.MaxBatch {
+			select {
+			case j2, ok2 := <-b.queue:
+				if !ok2 {
+					break collect // closed: flush what was taken; the top receive returns
 				}
-			}
-			if !fired && !timer.Stop() {
-				<-timer.C
+				j2.jny.Mark(stQueueWait)
+				batch = append(batch, j2)
+				pairs += j2.Pairs()
+			default:
+				break collect
 			}
 		}
 		srcs, dsts = b.flush(slot, batch, srcs, dsts, out)
-		if closed {
-			return
-		}
 	}
 }
 
@@ -367,7 +347,7 @@ func (b *Batcher) flush(slot int, batch []*Job, srcs, dsts []int64, out *core.Bu
 }
 
 // liveBatchers is the roster the queue-depth gauge aggregates over;
-// closed batchers stay registered but report zero.
+// Close removes a drained batcher, so none stays reachable from here.
 var liveBatchers struct {
 	mu   sync.Mutex
 	list []*Batcher
@@ -376,6 +356,14 @@ var liveBatchers struct {
 func registerBatcher(b *Batcher) {
 	liveBatchers.mu.Lock()
 	liveBatchers.list = append(liveBatchers.list, b)
+	liveBatchers.mu.Unlock()
+}
+
+func unregisterBatcher(b *Batcher) {
+	liveBatchers.mu.Lock()
+	if i := slices.Index(liveBatchers.list, b); i >= 0 {
+		liveBatchers.list = slices.Delete(liveBatchers.list, i, i+1)
+	}
 	liveBatchers.mu.Unlock()
 }
 

@@ -5,9 +5,10 @@ package serve
 // and /route/bulk in both codecs — must be port-identical to the
 // direct core.CachedRouter.AppendRouteRanks reference, for every
 // family and for arbitrary batch splits.  The batch split is the
-// property under test: random MaxBatch/MaxWait/QueueJobs/Workers
-// settings slice the same submissions into different flush batches,
-// and none of that may be observable in the routes.
+// property under test: random MaxBatch/QueueJobs/Workers settings and
+// the timing of concurrent submitters slice the same submissions into
+// different flush batches, and none of that may be observable in the
+// routes.
 
 import (
 	"bytes"
@@ -22,7 +23,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"supercayley/internal/core"
 	"supercayley/internal/gens"
@@ -86,7 +86,6 @@ func TestBatcherDifferentialTenFamilies(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			cfg := Config{
 				MaxBatch:  1 + r.Intn(9),
-				MaxWait:   time.Duration(1+r.Intn(200)) * time.Microsecond,
 				QueueJobs: 1 + r.Intn(64),
 				Workers:   1 + r.Intn(3),
 			}
@@ -163,6 +162,16 @@ func postJSON(t *testing.T, url string, v, out any) {
 	}
 }
 
+// randomPairs draws the given number of uniform (src, dst) rank
+// pairs in [0, n).
+func randomPairs(r *rand.Rand, pairs int, n int64) (srcs, dsts []int64) {
+	srcs, dsts = make([]int64, pairs), make([]int64, pairs)
+	for i := range srcs {
+		srcs[i], dsts[i] = r.Int63n(n), r.Int63n(n)
+	}
+	return srcs, dsts
+}
+
 // encodeBulkReq builds the binary request frame.
 func encodeBulkReq(srcs, dsts []int64) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, bulkReqMagic)
@@ -218,7 +227,7 @@ func TestHTTPDifferentialTenFamilies(t *testing.T) {
 		ref := core.NewCachedRouter(nw, core.CacheConfig{})
 		n := perm.Factorial(nw.K())
 		svc := NewService(core.NewCachedRouter(nw, core.CacheConfig{}), ServiceConfig{
-			Batch: Config{MaxBatch: 1 + r.Intn(9), MaxWait: 50 * time.Microsecond},
+			Batch: Config{MaxBatch: 1 + r.Intn(9)},
 		})
 		mux := http.NewServeMux()
 		svc.RegisterOn(mux)
@@ -240,10 +249,7 @@ func TestHTTPDifferentialTenFamilies(t *testing.T) {
 		}
 
 		pairs := 1 + r.Intn(32)
-		srcs, dsts := make([]int64, pairs), make([]int64, pairs)
-		for i := range srcs {
-			srcs[i], dsts[i] = r.Int63n(n), r.Int63n(n)
-		}
+		srcs, dsts := randomPairs(r, pairs, n)
 
 		var bulk bulkResponse
 		postJSON(t, srv.URL+"/route/bulk", bulkRequest{Srcs: srcs, Dsts: dsts}, &bulk)
@@ -296,7 +302,8 @@ func TestHTTPDifferentialTenFamilies(t *testing.T) {
 }
 
 // TestHTTPRejectsMalformed pins the 4xx edges of both endpoints:
-// wrong method, broken JSON, mismatched lists, bad magic, truncated
+// wrong method, broken JSON, data after the JSON body (trailing
+// whitespace stays legal), mismatched lists, bad magic, truncated
 // binary frames, rank out of range, and oversized bulk submissions.
 func TestHTTPRejectsMalformed(t *testing.T) {
 	nw := core.MustNew(core.MS, 2, 2)
@@ -330,6 +337,10 @@ func TestHTTPRejectsMalformed(t *testing.T) {
 	expect(http.StatusMethodNotAllowed, http.MethodGet, "/route/bulk", "application/json", "")
 	expect(http.StatusBadRequest, http.MethodPost, "/route", "application/json", "{nope")
 	expect(http.StatusBadRequest, http.MethodPost, "/route", "application/json", `{"src": 0, "dst": 999999}`)
+	expect(http.StatusBadRequest, http.MethodPost, "/route", "application/json", `{"src":1,"dst":2}]`)
+	expect(http.StatusBadRequest, http.MethodPost, "/route/bulk", "application/json", `{"srcs":[1],"dsts":[2]}{"srcs":[3],"dsts":[4]}`)
+	expect(http.StatusBadRequest, http.MethodPost, "/route/bulk", "application/json", `{"srcs":[1],"dsts":[2]} garbage`)
+	expect(http.StatusOK, http.MethodPost, "/route/bulk", "application/json", "{\"srcs\":[1],\"dsts\":[2]} \r\n\t")
 	expect(http.StatusBadRequest, http.MethodPost, "/route/bulk", "application/json", `{"srcs": [1, 2], "dsts": [3]}`)
 	expect(http.StatusBadRequest, http.MethodPost, "/route/bulk", "application/json", `{"srcs": [], "dsts": []}`)
 	expect(http.StatusBadRequest, http.MethodPost, "/route/bulk", "application/json",

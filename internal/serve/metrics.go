@@ -42,9 +42,10 @@ var (
 
 // Pipeline stages for the flight recorder.  A sampled request's
 // journey tiles these marks contiguously — decode, admission, queue
-// wait, batch wait, RouteManyInto, resume, encode — so the spans sum
-// exactly to the journey's wall time and the Chrome trace shows where
-// every nanosecond went.
+// wait, batch wait (the worker's drain of already-queued jobs),
+// RouteManyInto, resume, encode — so the spans sum exactly to the
+// journey's wall time and the Chrome trace shows where every
+// nanosecond went.
 var (
 	stDecode    = obs.NewStage("decode")
 	stAdmission = obs.NewStage("admission")

@@ -46,7 +46,7 @@ func TestHammerWhileDrain(t *testing.T) {
 	const jobsPerClient = 200
 
 	before := obs.Default.Snapshot()
-	b := NewBatcher(cr, Config{MaxBatch: 7, MaxWait: 20 * time.Microsecond, QueueJobs: 16, Workers: 2})
+	b := NewBatcher(cr, Config{MaxBatch: 7, QueueJobs: 16, Workers: 2})
 
 	var accepted, refused, pairsAccepted atomic.Int64
 	errc := make(chan error, clients)
@@ -137,10 +137,20 @@ func TestHammerWhileDrain(t *testing.T) {
 }
 
 // TestCloseIdempotent pins that double Close neither panics nor
-// deadlocks and that an idle batcher drains instantly.
+// deadlocks, that an idle batcher drains instantly, and that Close
+// leaves the queue-depth gauge's roster as NewBatcher found it.
 func TestCloseIdempotent(t *testing.T) {
+	rosterLen := func() int {
+		liveBatchers.mu.Lock()
+		defer liveBatchers.mu.Unlock()
+		return len(liveBatchers.list)
+	}
+	before := rosterLen()
 	nw := core.MustNew(core.MS, 2, 2)
 	b := NewBatcher(core.NewCachedRouter(nw, core.CacheConfig{}), Config{Workers: 2})
+	if got := rosterLen(); got != before+1 {
+		t.Fatalf("NewBatcher left %d batchers on the roster, want %d", got, before+1)
+	}
 	done := make(chan struct{})
 	go func() {
 		b.Close()
@@ -151,5 +161,8 @@ func TestCloseIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("double Close did not return")
+	}
+	if got := rosterLen(); got != before {
+		t.Fatalf("Close left %d batchers on the roster, want %d", got, before)
 	}
 }

@@ -129,9 +129,9 @@ func (s *Service) reject(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		mRejQueueFull.Inc()
-		// The queue drains on flush cadence, so MaxWait bounds how soon
-		// capacity reappears; Retry-After is its ceiling in seconds.
-		w.Header().Set("Retry-After", retrySeconds(s.b.Config().MaxWait))
+		// Workers take queued jobs as soon as they finish routing, so
+		// capacity reappears well within the header's one-second floor.
+		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "batch queue full")
 	case errors.Is(err, ErrDraining):
 		mRejDraining.Inc()
@@ -153,6 +153,19 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, pairs int) bool 
 		httpError(w, http.StatusTooManyRequests, "admission rate exceeded")
 	}
 	return ok
+}
+
+// decodeJSONBody decodes a request body's one JSON value into v; a
+// second value or other trailing non-whitespace is an error.
+func decodeJSONBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %v", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("decoding request: data after the JSON body")
+	}
+	return nil
 }
 
 // routeRequest and routeResponse are the /route JSON bodies.
@@ -183,10 +196,10 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	jny := j.Journey()
 	obs.Flight.Begin(jny, obs.JourneyRoute)
 	var req routeRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<10)).Decode(&req); err != nil {
+	if err := decodeJSONBody(io.LimitReader(r.Body, 1<<10), &req); err != nil {
 		s.b.Release(j)
 		mRejBadRequest.Inc()
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	jny.Mark(stDecode)
@@ -296,8 +309,8 @@ func (s *Service) checkBulkCount(count int) error {
 
 func (s *Service) decodeBulkJSON(r *http.Request, j *Job) error {
 	var req bulkRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBulkBody)).Decode(&req); err != nil {
-		return fmt.Errorf("decoding request: %v", err)
+	if err := decodeJSONBody(io.LimitReader(r.Body, maxBulkBody), &req); err != nil {
+		return err
 	}
 	if len(req.Srcs) != len(req.Dsts) {
 		return fmt.Errorf("srcs and dsts differ in length (%d vs %d)", len(req.Srcs), len(req.Dsts))
