@@ -48,6 +48,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# Golden file for the five slow experiments (C2, C3, A1, A4, R1; about
+# 50 s): the fast 25 are compared in every `go test`, these only here,
+# outside the -race run.
+echo "== slow experiments against experiments_output.txt"
+SCG_GOLDEN_SLOW=1 go test -count=1 -run='^TestSlowExperimentsGolden$' ./internal/experiments
+
 # The fault-injection sweep fans pair walks out over a worker pool;
 # hammer it specifically under the race detector with more iterations.
 echo "== go test -race ./internal/sim (fault layer)"
@@ -67,11 +73,11 @@ go test -race -count=2 ./internal/obs
 echo "== flight recorder alloc guard"
 go test -run='AllocFree$' ./internal/obs
 
-# The serve batching pipeline races Submit against Close by design;
-# hammer the differential, drain, and backpressure suite under the
-# race detector (TestHammerWhileDrain is the dropped/duplicated/
-# misattributed-response gate).
-echo "== go test -race ./internal/serve (batching pipeline)"
+# The serve batcher races Submit against Close by design; hammer the
+# differential, drain, and backpressure suite under the race detector
+# (TestHammerWhileDrain is the dropped/duplicated/misattributed-route
+# gate).
+echo "== go test -race ./internal/serve (routing slots + drain)"
 go test -race -count=2 ./internal/serve
 
 # Routing-engine smoke: run every Route benchmark once, plus the
@@ -82,10 +88,10 @@ go test -race -count=2 ./internal/serve
 echo "== bench smoke (-bench=Route -benchtime=1x) + alloc guards"
 go test -run='AllocFree$' -bench=Route -benchtime=1x ./internal/core
 
-# Serve-pipeline alloc guard: the steady-state enqueue→flush cycle
-# (pooled job, worker-owned batch buffers, sequential RouteManyInto)
-# must stay at AllocsPerRun == 0.
-echo "== serve pipeline alloc guard"
+# Serve alloc guard: a steady-state Submit (pooled job, slot token,
+# sequential RouteManyInto into the job's routes) must stay at
+# AllocsPerRun == 0.
+echo "== serve Submit alloc guard"
 go test -run='AllocFree$' ./internal/serve
 
 # Table-mode gates: the ten-family differential (table routes must be
@@ -166,6 +172,14 @@ grep -q '^scg_stage_decode_ns_count ' "$tmpdir/metrics.txt" || {
     echo "/metrics is missing the per-stage histograms (scg_stage_decode_ns)" >&2
     exit 1
 }
+# The admitted path marks the wait for a routing slot and the routing
+# call itself; both stages must have counted the requests above.
+for stage in queue_wait route_many; do
+    grep -Eq "^scg_stage_${stage}_ns_count [1-9]" "$tmpdir/metrics.txt" || {
+        echo "/metrics shows no scg_stage_${stage}_ns observations" >&2
+        exit 1
+    }
+done
 # The flight recorder retains the requests just routed (the window
 # tail is not yet full): /trace/requests must be a non-empty journey
 # array and /trace/chrome a non-empty Chrome trace-event document.
@@ -262,7 +276,9 @@ echo "== fuzz smoke"
 go test -run='^$' -fuzz=FuzzLehmerRoundTrip -fuzztime=10s ./internal/perm
 go test -run='^$' -fuzz=FuzzRouteDelivers -fuzztime=10s ./internal/core
 # The two bulk decoders read bytes off the network; both are fuzzed
-# through the /route/bulk handler.
+# on their pure entries and through the /route/bulk handler.
+go test -run='^$' -fuzz='^FuzzDecodeBulkBinary$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz='^FuzzDecodeBulkJSON$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzBulkBinary$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzBulkJSON$' -fuzztime=10s ./internal/serve
 

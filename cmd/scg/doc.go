@@ -14,7 +14,7 @@
 //	scg tasks     -family MS -l 2 -n 2 -task mnb -model all-port
 //	scg faults    -family MS -l 3 -n 2 -mode random -nodefrac 0.05 -linkfrac 0.05
 //	scg stats     -family MS -l 7 -n 1 -pairs 20000
-//	scg serve     -addr localhost:8650 -family MS -l 7 -n 1 -batch 512 -rate 500000
+//	scg serve     -addr localhost:8650 -family MS -l 7 -n 1 -rate 500000
 //	scg export    -family MS -l 2 -n 1 -out ms21.dot
 //	scg compare
 //
@@ -28,9 +28,10 @@
 //
 // `scg serve` is the routing service (DESIGN.md §13): POST /route
 // answers one JSON pair, POST /route/bulk answers many (JSON, or the
-// binary application/x-scg-bulk frame), both fed through the
-// internal/serve batching pipeline with per-client token-bucket
-// admission (-rate, -burst) and graceful SIGINT drain (-drain-wait).
+// binary application/x-scg-bulk frame), both routed by internal/serve
+// on the handler's goroutine with per-client token-bucket admission
+// (-rate, -burst), a bounded wait for a routing slot (-queue), and
+// graceful SIGINT drain (-drain-wait).
 // It also exposes the internal/obs registry over HTTP: /metrics
 // (Prometheus text format, per-stage scg_stage_* histograms and the
 // -slo burn-rate gauges included), /metrics.json (the same snapshot

@@ -125,9 +125,7 @@ func routeRankWorkload(nw *core.Network, pairs int, seed int64, skew float64) (f
 // flag roster stays testable (the cmd drift test walks this
 // function's AST).
 type serveFlags struct {
-	batch        *int
 	queue        *int
-	workers      *int
 	maxBulk      *int
 	rate         *float64
 	burst        *float64
@@ -138,9 +136,7 @@ type serveFlags struct {
 
 func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	return &serveFlags{
-		batch:        fs.Int("batch", 512, "stop draining queued jobs into a flush once it holds this many pairs"),
-		queue:        fs.Int("queue", 1024, "bounded intake queue capacity in jobs (full queue answers 429)"),
-		workers:      fs.Int("route-workers", 0, "flush workers draining the batch queue (0 = GOMAXPROCS)"),
+		queue:        fs.Int("queue", 1024, "jobs that may wait for a routing slot (one more answers 429)"),
 		maxBulk:      fs.Int("max-bulk", 65536, "largest pair count one bulk request may carry"),
 		rate:         fs.Float64("rate", 0, "per-client admission rate in pairs/sec (0 = no admission control)"),
 		burst:        fs.Float64("burst", 0, "per-client token-bucket burst in pairs (0 = one second of -rate)"),
@@ -153,9 +149,7 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 func (sf *serveFlags) serviceConfig() serve.ServiceConfig {
 	return serve.ServiceConfig{
 		Batch: serve.Config{
-			MaxBatch:  *sf.batch,
 			QueueJobs: *sf.queue,
-			Workers:   *sf.workers,
 			MaxBulk:   *sf.maxBulk,
 		},
 		Limit: serve.LimitConfig{Rate: *sf.rate, Burst: *sf.burst},
@@ -296,8 +290,7 @@ func cmdServe(args []string) error {
 
 	// Graceful drain: on SIGINT/SIGTERM stop accepting connections,
 	// let in-flight requests finish within -drain-wait, then drain the
-	// batching pipeline (remaining batches flush, new admissions get
-	// 503).
+	// service (admitted jobs finish routing, new admissions get 503).
 	srv := &http.Server{Handler: mux}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -312,13 +305,13 @@ func cmdServe(args []string) error {
 		return err
 	case <-ctx.Done():
 		stop()
-		fmt.Println("scg serve: shutting down (draining in-flight batches)")
+		fmt.Println("scg serve: shutting down (draining in-flight requests)")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *sf.drainWait)
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		svc.Drain()
-		// The batch pipeline is quiet now, so the snapshot sees the
-		// final warm state.
+		// No job routes any more, so the snapshot sees the final warm
+		// state.
 		if serr := shf.snapshot(eng); serr != nil && err == nil {
 			err = serr
 		}

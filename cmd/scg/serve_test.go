@@ -72,12 +72,12 @@ func flagRegistrations(t *testing.T, file, fn string) map[string]string {
 	return flags
 }
 
-// TestServeFlagRoster pins the batching/admission knobs addServeFlags
+// TestServeFlagRoster pins the routing/admission knobs addServeFlags
 // exposes: each must exist with a non-empty usage string, and nothing
 // unexpected may creep in.
 func TestServeFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "addServeFlags")
-	want := []string{"batch", "queue", "route-workers", "max-bulk", "rate", "burst", "drain-wait", "slo", "slo-objective"}
+	want := []string{"queue", "max-bulk", "rate", "burst", "drain-wait", "slo", "slo-objective"}
 	for _, name := range want {
 		usage, ok := flags[name]
 		if !ok {

@@ -80,9 +80,9 @@ func TestAppendRouteRanksWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestRouteManyIntoWarmAllocFree guards the batch-flush primitive the
-// serve pipeline leans on: below the sequential cutoff, re-flushing
-// into a caller-owned BulkRoutes must not allocate once warm.
+// TestRouteManyIntoWarmAllocFree guards the call every serve job
+// routes through: below the sequential cutoff, routing again into a
+// caller-owned BulkRoutes must not allocate once warm.
 func TestRouteManyIntoWarmAllocFree(t *testing.T) {
 	nw := MustNew(MS, 7, 1)
 	cr := NewCachedRouter(nw, CacheConfig{})

@@ -1,7 +1,7 @@
 package core
 
-// RouteManyInto is the flush primitive behind the serve batcher, so
-// its contract gets its own differential: identical routes to
+// RouteManyInto is the call every serve job routes through, so its
+// contract gets its own differential: identical routes to
 // RouteMany on every batch size (including sizes straddling the
 // sequential cutoff), caller-owned buffers truncated and reused, and
 // errors surfaced with the failing pair identified.

@@ -230,15 +230,15 @@ func (b *BulkRoutes) TotalHops() int64 { return b.Offsets[len(b.Offsets)-1] }
 // routes inline on the calling goroutine instead of fanning out: a
 // warm pair costs well under a microsecond, so the goroutine and
 // buffer setup of the parallel path only pays for itself on batches
-// in the thousands.  The serve batcher's default flush size sits
-// under this cutoff on purpose — its steady-state flush is a
-// zero-allocation sequential pass.
+// in the thousands.  The serving benchmark's jobs (64 and 512 pairs)
+// sit under this cutoff, so a steady-state serve job is a
+// zero-allocation sequential pass on its handler's goroutine.
 const routeManySeqCutoff = 1024
 
 // RouteManyInto is RouteMany with caller-owned result storage: out's
 // slices are truncated and reused, growing only when capacity runs
-// out, so a steady-state caller re-flushing into the same BulkRoutes
-// (the serve batcher) allocates nothing once warm.  Batches below
+// out, so a steady-state caller routing into the same BulkRoutes (a
+// pooled serve job) allocates nothing once warm.  Batches below
 // routeManySeqCutoff pairs — or any batch when one worker would run —
 // are routed inline; larger ones take the parallel RouteMany path and
 // are copied into out.

@@ -6,7 +6,7 @@ import (
 )
 
 // Router is the routing-engine surface the service layers consume:
-// internal/serve's batcher flushes through RouteManyInto, the
+// internal/serve routes each job through RouteManyInto, the
 // simulators route rank pairs through AppendRouteRanks, and the
 // observability commands read Stats.  CachedRouter is the single-node
 // implementation; internal/shard's Engine is the sharded one — both

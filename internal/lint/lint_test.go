@@ -61,7 +61,7 @@ func TestAnnotationsIndexed(t *testing.T) {
 		"AddAt", "IncAt", "Observe", "Enabled", "Sampled", // obs hot half
 		"NowNs", "Mark", "Begin", "Finish", "tailNote", "retain", // flight recorder warm half
 		"AppendRouteRanks", "workerOf", // shard warm dispatch
-		"Submit", "flush", "Pairs", // serve enqueue→flush cycle
+		"Submit", "acquire", "Pairs", // serve admitted path
 	}
 	wantDeterministic := []string{
 		"RouteMany", "RouteSweep", "SurvivorStatsUnder", "ReachMatrixUnder",

@@ -13,7 +13,7 @@ package lint
 //
 // Blocking operations under a held lock: channel sends and receives
 // (unless inside a select that has a default clause — the non-blocking
-// try-send idiom the serve Batcher uses), range over a channel,
+// try-send idiom), range over a channel,
 // sync.WaitGroup.Wait, sync.Cond.Wait, time.Sleep, and any call into
 // net, net/http, os, or os/exec.
 //
@@ -258,7 +258,7 @@ func (lc *lockChecker) selectStmt(x *ast.SelectStmt) bool {
 
 // commOp interprets a select communication clause.  With a default
 // clause present the select never blocks, so the comm ops are exempt
-// from the blocking check — the Batcher's guarded try-send idiom.
+// from the blocking check — the guarded try-send idiom.
 func (lc *lockChecker) commOp(comm ast.Stmt, hasDefault bool) {
 	switch c := comm.(type) {
 	case *ast.SendStmt:

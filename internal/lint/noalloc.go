@@ -63,10 +63,15 @@ var noallocRoster = map[string]bool{
 	// Uncontended mutex fast paths are a CAS; the slow path parks the
 	// goroutine without allocating.  Rostering them lets the warm
 	// cache-hit and batcher admission paths carry //scg:noalloc.
+	// WaitGroup.Add and Done are one atomic add, plus a semaphore wake
+	// when the count reaches zero under a waiter: the batcher's
+	// in-flight count.
 	"(*sync.Mutex).Lock":      true,
 	"(*sync.Mutex).Unlock":    true,
 	"(*sync.RWMutex).RLock":   true,
 	"(*sync.RWMutex).RUnlock": true,
+	"(*sync.WaitGroup).Add":   true,
+	"(*sync.WaitGroup).Done":  true,
 
 	// Monotonic clock reads stay in the vDSO; Sub is arithmetic.
 	"time.Now":        true,

@@ -1,6 +1,6 @@
 // Package lock_ok shows the allowed locking shapes: deferred unlock,
-// branch unlock-then-return, the guarded try-send under a read lock
-// (the serve Batcher idiom), and tight lock/unlock loops.
+// branch unlock-then-return, the guarded try-send under a read lock,
+// and tight lock/unlock loops.
 package lock_ok
 
 import "sync"

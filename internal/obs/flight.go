@@ -3,7 +3,7 @@ package obs
 // The flight recorder: per-request journeys with tail-based sampling.
 //
 // Every request carries a Journey — a fixed-layout value embedded in
-// the serve pipeline's pooled Job (no pointer chasing, no interfaces,
+// the serve path's pooled Job (no pointer chasing, no interfaces,
 // no maps).  Mark(stage) attributes the time since the previous mark
 // to a named stage, so a journey's spans tile its wall time exactly;
 // each mark also feeds the stage's scg_stage_<name>_ns histogram, so
@@ -46,8 +46,8 @@ import (
 
 // MaxJourneySpans bounds the spans one journey retains; later marks
 // still feed the stage histograms but the journey is flagged
-// truncated.  The serve pipeline uses 7 stages per request, so 24
-// leaves headroom for deeper instrumentation.
+// truncated.  The serve path uses 5 stages per request, so 24 leaves
+// headroom for deeper instrumentation.
 const MaxJourneySpans = 24
 
 // Journey kinds (what the request was).
@@ -113,10 +113,10 @@ func (j *Journey) SetPairs(n int) { j.pairs = int32(n) }
 
 // Mark attributes the time since the previous mark (or Begin) to
 // stage: the journey's spans tile its wall time with no gaps.  Each
-// mark also observes the duration on the stage's histogram.  Marks
-// may come from different goroutines as the request moves through the
-// pipeline, provided the handoffs already happen-before one another
-// (a channel send/receive), which is how the batcher passes jobs.
+// mark also observes the duration on the stage's histogram.  A
+// journey is not synchronized: marks from different goroutines need a
+// handoff that already orders them (a channel send/receive).  The
+// serve handlers mark every stage on the request's own goroutine.
 //
 //scg:noalloc
 func (j *Journey) Mark(s Stage) {
@@ -250,7 +250,7 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	return r
 }
 
-// Flight is the process-wide recorder the serve pipeline records into
+// Flight is the process-wide recorder the serve handlers record into
 // and `scg serve` exposes at /trace/requests and /trace/chrome.
 var Flight = NewFlightRecorder(FlightConfig{})
 

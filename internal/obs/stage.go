@@ -1,8 +1,8 @@
 package obs
 
 // Pipeline stages: the named phases a request passes through (decode,
-// admission, queue wait, batch wait, route, shard dispatch, cache
-// hit/miss, table walk, fault-in, kernel, encode, ...).  A Stage is a
+// admission, queue wait, route, shard dispatch, cache hit/miss, table
+// walk, fault-in, kernel, encode, ...).  A Stage is a
 // dense uint8 id handed out once per name at package init; observing a
 // duration against it is one array index plus a histogram observation,
 // so the flight recorder's Mark and the sampled deep-path timers stay

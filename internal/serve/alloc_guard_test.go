@@ -13,23 +13,20 @@ import (
 	"supercayley/internal/core"
 )
 
-// TestSubmitWarmAllocFree pins the zero-alloc steady state of the
-// enqueue→flush cycle: with a warm router, a pooled job reused across
-// submissions, and a flush-by-size batcher (MaxBatch 1, so every
-// Submit round-trips through a worker flush), Submit must not
-// allocate at all — job intake, queue send, batch collection, the
-// RouteManyInto flush, result fan-out, and the latency observations
-// included.
+// TestSubmitWarmAllocFree pins the zero-alloc steady state of Submit:
+// with a warm router and a pooled job reused across submissions,
+// Submit must not allocate at all — validation, admission, the slot
+// token, the RouteManyInto call into the job's routes, and the
+// counters included.
 func TestSubmitWarmAllocFree(t *testing.T) {
 	nw := core.MustNew(core.MS, 7, 1) // k = 8, the snapshot protocol
 	cr := core.NewCachedRouter(nw, core.CacheConfig{})
-	b := NewBatcher(cr, Config{MaxBatch: 1, Workers: 1})
+	b := NewBatcher(cr, Config{})
 	defer b.Close()
 
 	j := b.NewJob()
-	// Warm every buffer on the path: job slices, the worker's batch and
-	// concatenation buffers, the bulk result, and the router's cache
-	// and scratch pool for these pairs.
+	// Warm every buffer on the path: the job's pair and route slices
+	// and the router's cache and scratch pool for these pairs.
 	pairs := [][2]int64{{0, 1}, {977, 40319}, {1234, 20160}, {40319, 0}}
 	for r := 0; r < 8; r++ {
 		for _, p := range pairs {
@@ -51,7 +48,7 @@ func TestSubmitWarmAllocFree(t *testing.T) {
 			t.Fatalf("submit %d→%d: %v", p[0], p[1], err)
 		}
 	}); avg != 0 {
-		t.Fatalf("warm Submit→flush allocates %.2f objects per cycle, want 0", avg)
+		t.Fatalf("warm Submit allocates %.2f objects per call, want 0", avg)
 	}
 	b.Release(j)
 }

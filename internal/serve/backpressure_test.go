@@ -1,11 +1,12 @@
 package serve
 
 // Backpressure and admission control.  Three layers get pinned: the
-// bounded queue (a saturated queue refuses with ErrQueueFull and the
-// HTTP layer turns that into 429 + Retry-After, while every admitted
-// request still completes), the error→status mapping itself, and the
-// token-bucket limiter (a greedy client starves only its own bucket —
-// the polite client beside it is never rejected).
+// bounded wait for a routing slot (past QueueJobs waiting jobs Submit
+// refuses with ErrQueueFull, which the HTTP layer turns into 429 +
+// Retry-After, while every admitted request still completes), the
+// error→status mapping itself, and the token-bucket limiter (a greedy
+// client starves only its own bucket — the polite client beside it is
+// never rejected).
 
 import (
 	"bytes"
@@ -15,8 +16,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,103 +25,48 @@ import (
 	"supercayley/internal/perm"
 )
 
-// TestQueueFullBackpressure saturates a one-worker, one-slot queue
-// while the worker grinds a deliberately huge batch, and asserts the
-// overflow submission is refused with ErrQueueFull — and that every
-// admitted job still completes with a correct result.
+// TestQueueFullBackpressure holds every routing slot in a gated
+// router and lets QueueJobs jobs wait behind them: the next Submit is
+// refused with ErrQueueFull, and once the gate opens every admitted
+// job completes with correct routes.
 func TestQueueFullBackpressure(t *testing.T) {
-	nw := core.MustNew(core.MS, 7, 1) // k = 8: big enough that a bulk flush takes real time
-	cr := core.NewCachedRouter(nw, core.CacheConfig{})
-	n := perm.Factorial(nw.K())
-	b := NewBatcher(cr, Config{
-		MaxBatch:  1, // flush every job alone; no collect window
-		QueueJobs: 1,
-		Workers:   1,
-		MaxBulk:   1 << 20,
-	})
+	nw := core.MustNew(core.MS, 2, 2)
+	ref := core.NewCachedRouter(nw, core.CacheConfig{})
+	g := newGatedRouter(core.NewCachedRouter(nw, core.CacheConfig{}))
+	const queueJobs = 3
+	b := NewBatcher(g, Config{QueueJobs: queueJobs})
 	defer b.Close()
+	n := perm.Factorial(nw.K())
+	slots := cap(b.slots)
 
-	// One big job monopolizes the single worker for a long stretch
-	// (retrying in the unlikely case a probe beat it to the slot).
 	var wg sync.WaitGroup
-	var bigDone atomic.Bool
-	bigErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer bigDone.Store(true)
-		const pairs = 1 << 17
+	job := func(i int) *Job {
 		j := b.NewJob()
-		for p := 0; p < pairs; p++ {
-			j.AddPair(int64(p)%n, int64(p*7+1)%n)
-		}
-		for {
-			err := b.Submit(j)
-			if errors.Is(err, ErrQueueFull) {
-				continue
-			}
-			if err != nil {
-				bigErr <- fmt.Errorf("big job failed: %w", err)
-				return
-			}
-			break
-		}
-		if len(j.Lens()) != pairs {
-			bigErr <- fmt.Errorf("big job returned %d lens, want %d", len(j.Lens()), pairs)
-			return
-		}
-		b.Release(j)
-	}()
+		j.AddPair(int64(i)%n, int64(5*i+1)%n)
+		return j
+	}
+	for i := 0; i < slots; i++ {
+		submitChecked(t, &wg, b, ref, job(i))
+	}
+	for i := 0; i < slots; i++ {
+		<-g.entered
+	}
+	for i := slots; i < slots+queueJobs; i++ {
+		submitChecked(t, &wg, b, ref, job(i))
+	}
+	awaitWaiting(b, queueJobs)
 
-	// While the big job grinds (or waits in the slot), rounds of three
-	// concurrent one-pair probes hit the one-slot queue: at most one of
-	// them can hold the slot, so some probe in the round must be
-	// refused with ErrQueueFull.  Admitted probes complete — that is
-	// the other half of the contract.  Rounds repeat until the
-	// refusal is observed or the big job finishes (which would mean the
-	// saturation window was somehow never caught).
-	sawFull := false
-	for !sawFull && !bigDone.Load() {
-		probeErrs := make(chan error, 3)
-		var round sync.WaitGroup
-		for i := 0; i < 3; i++ {
-			round.Add(1)
-			go func() {
-				defer round.Done()
-				j := b.NewJob()
-				j.AddPair(0, 1)
-				err := b.Submit(j)
-				if err == nil {
-					if len(j.Lens()) != 1 {
-						err = fmt.Errorf("admitted probe returned %d lens", len(j.Lens()))
-					}
-				}
-				b.Release(j)
-				probeErrs <- err
-			}()
-		}
-		round.Wait()
-		close(probeErrs)
-		for err := range probeErrs {
-			if errors.Is(err, ErrQueueFull) {
-				sawFull = true
-			} else if err != nil {
-				t.Fatalf("probe: %v", err)
-			}
-		}
+	over := job(slots + queueJobs)
+	if err := b.Submit(over); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit with %d slots busy and %d jobs waiting returned %v, want ErrQueueFull", slots, queueJobs, err)
 	}
+	b.Release(over)
+	close(g.gate)
 	wg.Wait()
-	close(bigErr)
-	for err := range bigErr {
-		t.Fatal(err)
-	}
-	if !sawFull {
-		t.Fatal("never observed ErrQueueFull with a saturated one-slot queue")
-	}
 }
 
 // TestRejectStatusMapping pins the HTTP shape of each admission
-// error: 429 + Retry-After for a full queue, 503 + Retry-After while
+// error: 429 + Retry-After for a full wait queue, 503 + Retry-After while
 // draining, 400 otherwise.
 func TestRejectStatusMapping(t *testing.T) {
 	nw := core.MustNew(core.MS, 2, 2)
@@ -278,6 +224,36 @@ func TestOversizedBulkRejectedBeforeAdmission(t *testing.T) {
 				t.Errorf("binary=%v: %d-pair request answered %d, want %d", binaryLane, step.pairs, got, step.want)
 			}
 		}
+	}
+}
+
+// TestJSONBulkDecodeBoundedByMaxBulk pins that the JSON lane bounds
+// its decode by MaxBulk before encoding/json allocates per element: a
+// body at the size cap that lists millions of ranks is a 400, and the
+// handler allocates no more than about twice the body.
+func TestJSONBulkDecodeBoundedByMaxBulk(t *testing.T) {
+	nw := core.MustNew(core.MS, 2, 2)
+	svc := NewService(core.NewCachedRouter(nw, core.CacheConfig{}), ServiceConfig{})
+	defer svc.Drain()
+	const tail = `0],"dsts":[0]}`
+	body := append(make([]byte, 0, maxBulkBody), `{"srcs":[`...)
+	for len(body)+2+len(tail) <= maxBulkBody {
+		body = append(body, '0', ',')
+	}
+	body = append(body, tail...)
+
+	req := httptest.NewRequest(http.MethodPost, "/route/bulk", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	svc.handleBulk(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("%d-byte body of %d ranks answered %d, want 400", len(body), len(body)/2, rec.Code)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*uint64(len(body)) {
+		t.Fatalf("rejecting a %d-byte body allocated %d bytes, want at most %d", len(body), grew, 2*len(body))
 	}
 }
 

@@ -1,11 +1,19 @@
 package serve
 
-// Fuzz targets for the two bulk decoders, driven through the
-// /route/bulk handler so that admission, the batcher and the encoder
-// run behind every input that decodes.  For every input: no panic;
-// the answer is a 200 or a 4xx with a JSON {"error": …} body; and a
-// 200 carries at most MaxBulk pairs, exactly as many as the input
-// encodes, each routed port-identically to the direct router.
+// Fuzz targets for the two bulk decoders, at two depths.
+//
+// FuzzDecodeBulkBinary and FuzzDecodeBulkJSON call the pure decoders
+// directly, so every execution of an input runs the same code: no
+// panic; an accepted input carries 1…MaxBulk pairs; an accepted binary
+// frame re-encodes to the same bytes; an accepted JSON body yields the
+// same pairs as encoding/json.
+//
+// FuzzBulkBinary and FuzzBulkJSON drive the /route/bulk handler, so
+// that admission, the batcher and the encoder run behind every input
+// that decodes.  For every input: no panic; the answer is a 200 or a
+// 4xx with a JSON {"error": …} body; and a 200 carries at most MaxBulk
+// pairs, exactly as many as the input encodes, each routed
+// port-identically to the direct router.
 
 import (
 	"bytes"
@@ -19,6 +27,7 @@ import (
 
 	"supercayley/internal/core"
 	"supercayley/internal/gens"
+	"supercayley/internal/perm"
 )
 
 const fuzzMaxBulk = 64
@@ -35,13 +44,104 @@ func fuzzService(f *testing.F) (*Service, *core.CachedRouter) {
 }
 
 // seedPairs calls add with pair lists drawn the way the HTTP
-// differential draws its bulk requests, then one list at MaxBulk and
-// one over it.
-func seedPairs(n int64, add func(srcs, dsts []int64)) {
+// differential draws its bulk requests on MS(2,2), then one list at
+// MaxBulk and one over it.
+func seedPairs(add func(srcs, dsts []int64)) {
+	n := perm.Factorial(5)
 	r := rand.New(rand.NewSource(72))
 	for _, pairs := range []int{1 + r.Intn(32), 1 + r.Intn(32), 1 + r.Intn(32), fuzzMaxBulk, fuzzMaxBulk + 1} {
 		add(randomPairs(r, pairs, n))
 	}
+}
+
+// badBinaryFrames are malformed binary seeds: an over-MaxBulk count,
+// a truncated header, bad magic, trailing data, and two frames.
+func badBinaryFrames() [][]byte {
+	valid := encodeBulkReq([]int64{1, 2}, []int64{3, 4})
+	return [][]byte{
+		[]byte("SCGB\xff\xff\xff\xff"),
+		[]byte("SCG"),
+		slices.Concat([]byte("XXXX"), valid[4:]),
+		slices.Concat(valid, []byte(" garbage")),
+		slices.Concat(valid, valid),
+	}
+}
+
+// jsonSeeds returns the JSON seeds: the seedPairs lists, then bodies
+// with trailing data, truncation, unequal lists and an out-of-range
+// rank.
+func jsonSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
+	seedPairs(func(srcs, dsts []int64) {
+		body, err := json.Marshal(bulkRequest{Srcs: srcs, Dsts: dsts})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, body)
+	})
+	for _, body := range []string{
+		`{"srcs":[1],"dsts":[2]}{"srcs":[3],"dsts":[4]}`,
+		`{"srcs":[1],"dsts":[2]} garbage`,
+		`{"srcs":[1],"dsts":[2]}]`,
+		"{\"srcs\":[1],\"dsts\":[2]}\n",
+		`{"srcs":[1],"dsts":[`,
+		`{"srcs": [1, 2], "dsts": [3]}`,
+		`{"srcs": [0], "dsts": [999999]}`,
+	} {
+		seeds = append(seeds, []byte(body))
+	}
+	return seeds
+}
+
+// checkDecoded checks the pairs an accepted input left in j.
+func checkDecoded(t *testing.T, j *Job) {
+	t.Helper()
+	if len(j.srcs) != len(j.dsts) {
+		t.Fatalf("accepted input decoded to %d srcs and %d dsts", len(j.srcs), len(j.dsts))
+	}
+	if len(j.srcs) < 1 || len(j.srcs) > fuzzMaxBulk {
+		t.Fatalf("accepted input carries %d pairs, want 1…%d", len(j.srcs), fuzzMaxBulk)
+	}
+}
+
+// FuzzDecodeBulkBinary fuzzes the pure binary-frame decoder.
+func FuzzDecodeBulkBinary(f *testing.F) {
+	seedPairs(func(srcs, dsts []int64) { f.Add(encodeBulkReq(srcs, dsts)) })
+	for _, body := range badBinaryFrames() {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var j Job
+		if decodeBulkBinary(body, fuzzMaxBulk, &j) != nil {
+			return
+		}
+		checkDecoded(t, &j)
+		if again := encodeBulkReq(j.srcs, j.dsts); !bytes.Equal(again, body) {
+			t.Fatalf("accepted frame %x re-encodes to %x", body, again)
+		}
+	})
+}
+
+// FuzzDecodeBulkJSON fuzzes the pure JSON decoder against
+// encoding/json.
+func FuzzDecodeBulkJSON(f *testing.F) {
+	for _, body := range jsonSeeds(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var j Job
+		if decodeBulkJSON(body, fuzzMaxBulk, &j) != nil {
+			return
+		}
+		checkDecoded(t, &j)
+		var req bulkRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("accepted %q, which encoding/json rejects: %v", body, err)
+		}
+		if !slices.Equal(j.srcs, req.Srcs) || !slices.Equal(j.dsts, req.Dsts) {
+			t.Fatalf("%q decoded to %v→%v, encoding/json reads %v→%v", body, j.srcs, j.dsts, req.Srcs, req.Dsts)
+		}
+	})
 }
 
 // postBulk runs body through the bulk handler.  It returns the body of
@@ -92,16 +192,14 @@ func checkRoutes(t *testing.T, ref *core.CachedRouter, srcs, dsts []int64, route
 // body's length both declared and left unknown.
 func FuzzBulkBinary(f *testing.F) {
 	svc, ref := fuzzService(f)
-	seedPairs(svc.Batcher().N(), func(srcs, dsts []int64) {
+	seedPairs(func(srcs, dsts []int64) {
 		f.Add(encodeBulkReq(srcs, dsts), false)
 		f.Add(encodeBulkReq(srcs, dsts), true)
 	})
-	valid := encodeBulkReq([]int64{1, 2}, []int64{3, 4})
-	f.Add([]byte("SCGB\xff\xff\xff\xff"), false)           // count header far over MaxBulk
-	f.Add([]byte("SCG"), false)                            // truncated header
-	f.Add(slices.Concat([]byte("XXXX"), valid[4:]), false) // bad magic
-	f.Add(slices.Concat(valid, []byte(" garbage")), false) // trailing data
-	f.Add(slices.Concat(valid, valid), true)               // two frames, length unknown
+	for _, body := range badBinaryFrames() {
+		f.Add(body, false)
+		f.Add(body, true)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, unknownLength bool) {
 		resp := postBulk(t, svc, BulkContentType, body, unknownLength)
 		if resp == nil {
@@ -126,23 +224,8 @@ func FuzzBulkBinary(f *testing.F) {
 // FuzzBulkJSON fuzzes the JSON bulk decoder.
 func FuzzBulkJSON(f *testing.F) {
 	svc, ref := fuzzService(f)
-	seedPairs(svc.Batcher().N(), func(srcs, dsts []int64) {
-		body, err := json.Marshal(bulkRequest{Srcs: srcs, Dsts: dsts})
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, body := range jsonSeeds(f) {
 		f.Add(body)
-	})
-	for _, body := range []string{
-		`{"srcs":[1],"dsts":[2]}{"srcs":[3],"dsts":[4]}`,
-		`{"srcs":[1],"dsts":[2]} garbage`,
-		`{"srcs":[1],"dsts":[2]}]`,
-		"{\"srcs\":[1],\"dsts\":[2]}\n",
-		`{"srcs":[1],"dsts":[`,
-		`{"srcs": [1, 2], "dsts": [3]}`,
-		`{"srcs": [0], "dsts": [999999]}`,
-	} {
-		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		resp := postBulk(t, svc, "application/json", body, false)

@@ -1,6 +1,6 @@
 package serve
 
-// Concurrency contract of the pipeline, meant for the race detector:
+// Concurrency contract of the batcher, meant for the race detector:
 // many goroutine clients hammer Submit while Close drains mid-storm.
 // Every Submit must resolve exactly one way — a correct result or a
 // clean admission error — with no dropped, duplicated, or
@@ -10,6 +10,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,8 +35,9 @@ func counterValue(t *testing.T, snap obs.Snapshot, name string) uint64 {
 
 // TestHammerWhileDrain races G clients against a mid-storm Close.
 // Each client submits jobs whose pairs encode the client's identity
-// (src = client's own rank), so a response fanned out to the wrong
-// job cannot match its reference route.
+// (src = client's own rank), so a route that reached the wrong job
+// cannot match its reference route.  A short wait queue makes some
+// submissions fail with ErrQueueFull as well as ErrDraining.
 func TestHammerWhileDrain(t *testing.T) {
 	nw := core.MustNew(core.MS, 2, 2)
 	cr := core.NewCachedRouter(nw, core.CacheConfig{})
@@ -46,7 +48,7 @@ func TestHammerWhileDrain(t *testing.T) {
 	const jobsPerClient = 200
 
 	before := obs.Default.Snapshot()
-	b := NewBatcher(cr, Config{MaxBatch: 7, QueueJobs: 16, Workers: 2})
+	b := NewBatcher(cr, Config{QueueJobs: 3})
 
 	var accepted, refused, pairsAccepted atomic.Int64
 	errc := make(chan error, clients)
@@ -74,9 +76,9 @@ func TestHammerWhileDrain(t *testing.T) {
 							errc <- fmt.Errorf("client %d reference: %w", id, err)
 							return
 						}
-						if !portsEqual(j.Route(p), want) {
+						if got := j.out.Route(p); !portsEqual(got, want) {
 							errc <- fmt.Errorf("client %d job %d pair %d→%d misattributed: got %v, want %v",
-								id, jn, j.srcs[p], j.dsts[p], j.Route(p), want)
+								id, jn, j.srcs[p], j.dsts[p], got, want)
 							return
 						}
 					}
@@ -113,43 +115,29 @@ func TestHammerWhileDrain(t *testing.T) {
 	if accepted.Load() == 0 {
 		t.Fatal("drain landed before any submission was accepted; hammer proved nothing")
 	}
-	if !b.Draining() {
-		t.Fatal("batcher reports not draining after Close")
-	}
 	if err := b.Submit(func() *Job { j := b.NewJob(); j.AddPair(0, 1); return j }()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit after Close returned %v, want ErrDraining", err)
 	}
 
-	// Counters are monotonic and exact: the batcher observed one batch
-	// per flush and served no pairs it did not admit.
+	// The served-pairs counter is exact: the batcher served every pair
+	// it admitted and no other.
 	after := obs.Default.Snapshot()
-	dBatches := counterValue(t, after, "scg_serve_batches_total") - counterValue(t, before, "scg_serve_batches_total")
-	if dBatches == 0 {
-		t.Error("scg_serve_batches_total did not move")
-	}
 	dServed := counterValue(t, after, "scg_serve_pairs_served_total") - counterValue(t, before, "scg_serve_pairs_served_total")
 	if dServed != uint64(pairsAccepted.Load()) {
 		t.Errorf("scg_serve_pairs_served_total moved by %d, but %d pairs were accepted", dServed, pairsAccepted.Load())
 	}
-	if b.QueuedPairs() != 0 {
-		t.Errorf("queue gauge is %d pairs after drain, want 0", b.QueuedPairs())
-	}
 }
 
-// TestCloseIdempotent pins that double Close neither panics nor
-// deadlocks, that an idle batcher drains instantly, and that Close
-// leaves the queue-depth gauge's roster as NewBatcher found it.
+// TestCloseIdempotent pins that NewBatcher starts no goroutine, that
+// double Close neither panics nor deadlocks, and that an idle batcher
+// drains instantly.
 func TestCloseIdempotent(t *testing.T) {
-	rosterLen := func() int {
-		liveBatchers.mu.Lock()
-		defer liveBatchers.mu.Unlock()
-		return len(liveBatchers.list)
-	}
-	before := rosterLen()
 	nw := core.MustNew(core.MS, 2, 2)
-	b := NewBatcher(core.NewCachedRouter(nw, core.CacheConfig{}), Config{Workers: 2})
-	if got := rosterLen(); got != before+1 {
-		t.Fatalf("NewBatcher left %d batchers on the roster, want %d", got, before+1)
+	cr := core.NewCachedRouter(nw, core.CacheConfig{})
+	before := runtime.NumGoroutine()
+	b := NewBatcher(cr, Config{})
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("NewBatcher started %d goroutines, want none", got-before)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -161,8 +149,5 @@ func TestCloseIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("double Close did not return")
-	}
-	if got := rosterLen(); got != before {
-		t.Fatalf("Close left %d batchers on the roster, want %d", got, before)
 	}
 }

@@ -1,12 +1,13 @@
 package serve
 
-// The HTTP face of the batching pipeline: POST /route (one pair,
-// JSON) and POST /route/bulk (many pairs, JSON or the compact binary
-// framing below).  Both handlers run the same admission sequence —
-// per-client token bucket, then bounded-queue enqueue — and surface
-// rejections as 429 with a Retry-After header (bucket empty, queue
-// full) or 503 (draining).  Admitted requests block on their batch
-// flush and record end-to-end latency into scg_serve_request_ns.
+// The HTTP face of the routing service: POST /route (one pair, JSON)
+// and POST /route/bulk (many pairs, JSON or the compact binary framing
+// below).  Both handlers run the same admission sequence — per-client
+// token bucket, then a bounded wait for a routing slot — and surface
+// rejections as 429 with a Retry-After header (bucket empty, too many
+// jobs waiting) or 503 (draining).  Admitted requests route on the
+// handler's goroutine and record end-to-end latency into
+// scg_serve_request_ns.
 //
 // Binary bulk framing (Content-Type application/x-scg-bulk), all
 // little-endian:
@@ -23,6 +24,7 @@ package serve
 // 56 ns of codec, and 86% of handler time on serve-hot-k8.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -49,23 +51,23 @@ const (
 	bulkHeaderLen = 8
 )
 
-// ServiceConfig bundles the pipeline and admission settings.
+// ServiceConfig bundles the routing and admission settings.
 type ServiceConfig struct {
 	Batch Config
 	Limit LimitConfig
 }
 
-// Service owns a batching pipeline and its admission limiter and
-// serves them over HTTP.
+// Service owns a batcher and its admission limiter and serves them
+// over HTTP.
 type Service struct {
 	b   *Batcher
 	lim *Limiter
-	// bufs pools request/response scratch for the binary lane (one
+	// bufs pools the bulk request body and the binary response (one
 	// buffer borrowed per phase, returned before the handler exits).
 	bufs sync.Pool
 }
 
-// NewService starts a service over router; Drain stops it.
+// NewService returns a service over router; Drain stops it.
 func NewService(router core.Router, cfg ServiceConfig) *Service {
 	s := &Service{
 		b:   NewBatcher(router, cfg.Batch),
@@ -78,10 +80,10 @@ func NewService(router core.Router, cfg ServiceConfig) *Service {
 	return s
 }
 
-// Batcher returns the pipeline behind the service.
+// Batcher returns the batcher behind the service.
 func (s *Service) Batcher() *Batcher { return s.b }
 
-// Drain gracefully stops the service: in-flight batches complete and
+// Drain gracefully stops the service: admitted jobs finish routing and
 // new admissions are refused with 503.  Blocks until drained.
 func (s *Service) Drain() { s.b.Close() }
 
@@ -123,16 +125,16 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 }
 
 // reject maps a batcher admission error onto its HTTP shape: 429 +
-// Retry-After for a full queue, 503 + Retry-After while draining,
-// 400 otherwise.
+// Retry-After when too many jobs wait for a routing slot, 503 +
+// Retry-After while draining, 400 otherwise.
 func (s *Service) reject(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		mRejQueueFull.Inc()
-		// Workers take queued jobs as soon as they finish routing, so
-		// capacity reappears well within the header's one-second floor.
+		// A slot is held only while one job routes, so the waiting
+		// jobs clear well within the header's one-second floor.
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "batch queue full")
+		httpError(w, http.StatusTooManyRequests, "routing queue full")
 	case errors.Is(err, ErrDraining):
 		mRejDraining.Inc()
 		w.Header().Set("Retry-After", "1")
@@ -215,11 +217,11 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, err)
 		return
 	}
-	jny.Mark(stResume)
 	mReqRoute.Inc()
 	mPairsAdmitted.Inc()
-	resp := routeResponse{Src: req.Src, Dst: req.Dst, Hops: int(j.lens[0]), Ports: make([]int, j.lens[0])}
-	for i, p := range j.steps[:j.lens[0]] {
+	route := j.out.Route(0)
+	resp := routeResponse{Src: req.Src, Dst: req.Dst, Hops: len(route), Ports: make([]int, len(route))}
+	for i, p := range route {
 		resp.Ports[i] = int(p)
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -256,13 +258,7 @@ func (s *Service) handleBulk(w http.ResponseWriter, r *http.Request) {
 	defer s.b.Release(j)
 	jny := j.Journey()
 	obs.Flight.Begin(jny, obs.JourneyBulk)
-	var err error
-	if binaryLane {
-		err = s.decodeBulkBinary(r, j)
-	} else {
-		err = s.decodeBulkJSON(r, j)
-	}
-	if err != nil {
+	if err := s.decodeBulk(r, binaryLane, j); err != nil {
 		mRejBadRequest.Inc()
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -277,7 +273,6 @@ func (s *Service) handleBulk(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, err)
 		return
 	}
-	jny.Mark(stResume)
 	mReqBulk.Inc()
 	mPairsAdmitted.Add(uint64(j.Pairs()))
 	if binaryLane {
@@ -290,32 +285,68 @@ func (s *Service) handleBulk(w http.ResponseWriter, r *http.Request) {
 	hRequestNs.Observe(0, uint64(time.Since(t0)))
 }
 
-// maxBulkBody bounds a binary bulk body read; the pair cap is checked
-// again precisely after the header is parsed.
+// maxBulkBody bounds a bulk body read on either lane; the decoders
+// then check the pair count against MaxBulk before filling the job.
 const maxBulkBody = bulkHeaderLen + 16*(1<<20)
 
-// checkBulkCount rejects an empty or over-MaxBulk pair count.  The
+// decodeBulk reads a body of at most maxBulkBody bytes into a pooled
+// buffer and parses it into j with the lane's decoder.
+func (s *Service) decodeBulk(r *http.Request, binaryLane bool, j *Job) error {
+	bufp := s.bufs.Get().(*[]byte)
+	defer s.bufs.Put(bufp)
+	body := (*bufp)[:0]
+	var err error
+	if n := r.ContentLength; n > 0 && n <= maxBulkBody {
+		if cap(body) < int(n) {
+			body = make([]byte, n)
+		}
+		body = body[:n]
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = readAllInto(body, io.LimitReader(r.Body, maxBulkBody+1))
+		if len(body) > maxBulkBody {
+			return fmt.Errorf("body exceeds %d bytes", maxBulkBody)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("reading body: %v", err)
+	}
+	*bufp = body[:0]
+	if binaryLane {
+		return decodeBulkBinary(body, s.b.cfg.MaxBulk, j)
+	}
+	return decodeBulkJSON(body, s.b.cfg.MaxBulk, j)
+}
+
+// checkBulkCount rejects an empty or over-maxBulk pair count.  The
 // decoders call it before filling the job, so an oversized request is
 // a 400 that neither grows the pooled job nor spends admission tokens.
-func (s *Service) checkBulkCount(count int) error {
+func checkBulkCount(count, maxBulk int) error {
 	if count == 0 {
 		return fmt.Errorf("empty pair list")
 	}
-	if limit := s.b.Config().MaxBulk; count > limit {
-		return fmt.Errorf("%w (%d > %d)", ErrTooLarge, count, limit)
+	if count > maxBulk {
+		return fmt.Errorf("%w (%d > %d)", ErrTooLarge, count, maxBulk)
 	}
 	return nil
 }
 
-func (s *Service) decodeBulkJSON(r *http.Request, j *Job) error {
+// decodeBulkJSON parses a JSON bulk body into j.  A body carrying n
+// pairs holds 2n−1 commas, so counting them first caps what
+// encoding/json may allocate per element at 2·maxBulk numbers, however
+// many elements the body lists.
+func decodeBulkJSON(body []byte, maxBulk int, j *Job) error {
+	if commas := bytes.Count(body, []byte{','}); commas > 2*maxBulk-1 {
+		return fmt.Errorf("%w (%d commas; %d pairs carry at most %d)", ErrTooLarge, commas, maxBulk, 2*maxBulk-1)
+	}
 	var req bulkRequest
-	if err := decodeJSONBody(io.LimitReader(r.Body, maxBulkBody), &req); err != nil {
-		return err
+	if err := json.Unmarshal(body, &req); err != nil {
+		return fmt.Errorf("decoding request: %v", err)
 	}
 	if len(req.Srcs) != len(req.Dsts) {
 		return fmt.Errorf("srcs and dsts differ in length (%d vs %d)", len(req.Srcs), len(req.Dsts))
 	}
-	if err := s.checkBulkCount(len(req.Srcs)); err != nil {
+	if err := checkBulkCount(len(req.Srcs), maxBulk); err != nil {
 		return err
 	}
 	for i := range req.Srcs {
@@ -325,8 +356,12 @@ func (s *Service) decodeBulkJSON(r *http.Request, j *Job) error {
 }
 
 func writeBulkJSON(w http.ResponseWriter, j *Job) {
-	resp := bulkResponse{Count: j.Pairs(), Lens: j.lens, Ports: make([]int, len(j.steps))}
-	for i, p := range j.steps {
+	out := &j.out
+	resp := bulkResponse{Count: j.Pairs(), Lens: make([]int32, j.Pairs()), Ports: make([]int, len(out.Steps))}
+	for i := range resp.Lens {
+		resp.Lens[i] = int32(out.Offsets[i+1] - out.Offsets[i])
+	}
+	for i, p := range out.Steps {
 		resp.Ports[i] = int(p)
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -334,44 +369,25 @@ func writeBulkJSON(w http.ResponseWriter, j *Job) {
 	w.Write(append(blob, '\n'))
 }
 
-func (s *Service) decodeBulkBinary(r *http.Request, j *Job) error {
-	bufp := s.bufs.Get().(*[]byte)
-	defer s.bufs.Put(bufp)
-	buf := (*bufp)[:0]
-	var err error
-	if n := r.ContentLength; n > 0 && n <= maxBulkBody {
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		_, err = io.ReadFull(r.Body, buf)
-	} else {
-		buf, err = readAllInto(buf, io.LimitReader(r.Body, maxBulkBody+1))
-		if len(buf) > maxBulkBody {
-			return fmt.Errorf("body exceeds %d bytes", maxBulkBody)
-		}
+// decodeBulkBinary parses a binary request frame into j.
+func decodeBulkBinary(body []byte, maxBulk int, j *Job) error {
+	if len(body) < bulkHeaderLen {
+		return fmt.Errorf("truncated header (%d bytes)", len(body))
 	}
-	if err != nil {
-		return fmt.Errorf("reading body: %v", err)
-	}
-	*bufp = buf[:0]
-	if len(buf) < bulkHeaderLen {
-		return fmt.Errorf("truncated header (%d bytes)", len(buf))
-	}
-	if magic := binary.LittleEndian.Uint32(buf); magic != bulkReqMagic {
+	if magic := binary.LittleEndian.Uint32(body); magic != bulkReqMagic {
 		return fmt.Errorf("bad magic %#x (want %#x)", magic, bulkReqMagic)
 	}
-	count := int(binary.LittleEndian.Uint32(buf[4:]))
-	if err := s.checkBulkCount(count); err != nil {
+	count := int(binary.LittleEndian.Uint32(body[4:]))
+	if err := checkBulkCount(count, maxBulk); err != nil {
 		return err
 	}
-	if want := bulkHeaderLen + 16*count; len(buf) != want {
-		return fmt.Errorf("body is %d bytes for %d pairs (want %d)", len(buf), count, want)
+	if want := bulkHeaderLen + 16*count; len(body) != want {
+		return fmt.Errorf("body is %d bytes for %d pairs (want %d)", len(body), count, want)
 	}
-	body := buf[bulkHeaderLen:]
+	ranks := body[bulkHeaderLen:]
 	for i := 0; i < count; i++ {
-		src := int64(binary.LittleEndian.Uint64(body[8*i:]))
-		dst := int64(binary.LittleEndian.Uint64(body[8*(count+i):]))
+		src := int64(binary.LittleEndian.Uint64(ranks[8*i:]))
+		dst := int64(binary.LittleEndian.Uint64(ranks[8*(count+i):]))
 		j.AddPair(src, dst)
 	}
 	return nil
@@ -380,13 +396,14 @@ func (s *Service) decodeBulkBinary(r *http.Request, j *Job) error {
 func (s *Service) writeBulkBinary(w http.ResponseWriter, j *Job) {
 	bufp := s.bufs.Get().(*[]byte)
 	defer s.bufs.Put(bufp)
+	out := &j.out
 	buf := (*bufp)[:0]
 	buf = binary.LittleEndian.AppendUint32(buf, bulkRespMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(j.Pairs()))
-	for _, ln := range j.lens {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(ln))
+	for i := 0; i < j.Pairs(); i++ {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(out.Offsets[i+1]-out.Offsets[i]))
 	}
-	for _, p := range j.steps {
+	for _, p := range out.Steps {
 		buf = append(buf, byte(p))
 	}
 	w.Header().Set("Content-Type", BulkContentType)

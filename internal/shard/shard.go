@@ -423,8 +423,8 @@ func (e *Engine) TableBytes() int64 {
 }
 
 // RouteManyInto implements core.Router with the same sequential
-// cutoff as CachedRouter: small batches (the serve batcher's steady
-// state) route inline into caller-owned storage with zero allocations
+// cutoff as CachedRouter: small batches (a serve job's steady state)
+// route inline into caller-owned storage with zero allocations
 // once warm, larger ones fan out through RouteMany.
 func (e *Engine) RouteManyInto(out *core.BulkRoutes, srcs, dsts []int64) error {
 	if len(srcs) != len(dsts) {
