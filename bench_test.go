@@ -323,8 +323,10 @@ func BenchmarkPropertySymmetry(b *testing.B) {
 				b.Fatal(err)
 			}
 			mat := graph.Materialize(cg)
-			if d, ok := graph.IsRegular(mat); !ok || d != nw.Degree() {
-				b.Fatalf("%s not regular", nw.Name())
+			for v := 0; v < mat.Order(); v++ {
+				if len(mat.Neighbors(v)) != nw.Degree() {
+					b.Fatalf("%s not regular", nw.Name())
+				}
 			}
 			if !graph.LooksVertexSymmetric(mat, 6) {
 				b.Fatalf("%s not vertex-symmetric", nw.Name())

@@ -2,12 +2,10 @@
 # ci.sh — the tier-1 gate plus static checks and the race detector.
 #
 # The -race run matters: the CSR analytics engine (internal/graph)
-# materializes Cayley graphs and sweeps BFS sources across a worker
-# pool, and its differential tests (csr_test.go, csr_diff_test.go)
-# exercise those parallel drivers end to end.
-#
-# Regenerate the benchmark snapshot separately (it is slow):
-#   SCG_WRITE_BENCH=1 go test ./internal/graph -run WriteBenchSnapshot -v -timeout 30m
+# materializes Cayley graphs, samples symmetry sources and runs the
+# masked 64-source BFS across a worker pool, and its tests
+# (csr_test.go, csr_diff_test.go, csr_fault_test.go) exercise those
+# parallel drivers end to end.
 set -eu
 
 echo "== go vet"
@@ -50,9 +48,12 @@ go test -race ./...
 
 # Golden file for the five slow experiments (C2, C3, A1, A4, R1; about
 # 50 s): the fast 25 are compared in every `go test`, these only here,
-# outside the -race run.
-echo "== slow experiments against experiments_output.txt"
+# outside the -race run.  The link guard builds every binary (bench/
+# included) with inlining off and fails on a non-test function none of
+# them links, unless testdata/unlinked.txt lists it with a reason.
+echo "== slow experiments against experiments_output.txt + link guard"
 SCG_GOLDEN_SLOW=1 go test -count=1 -run='^TestSlowExperimentsGolden$' ./internal/experiments
+SCG_GOLDEN_SLOW=1 go test -count=1 -run='^TestEveryFunctionLinked$' .
 
 # The fault-injection sweep fans pair walks out over a worker pool;
 # hammer it specifically under the race detector with more iterations.
@@ -272,14 +273,20 @@ serve_pid=""
 echo "== benchmark smoke (cd bench && go test ./...)"
 (cd bench && go test ./...)
 
+# Go minimizes each new interesting input for up to 60 s by default,
+# reporting no progress meanwhile, which stalled 10 s runs at 0
+# execs/s; -fuzzminimizetime=1x keeps the budget on fuzzing.  A
+# crasher still fails the step and lands in testdata, unminimized.
 echo "== fuzz smoke"
-go test -run='^$' -fuzz=FuzzLehmerRoundTrip -fuzztime=10s ./internal/perm
-go test -run='^$' -fuzz=FuzzRouteDelivers -fuzztime=10s ./internal/core
-# The two bulk decoders read bytes off the network; both are fuzzed
-# on their pure entries and through the /route/bulk handler.
-go test -run='^$' -fuzz='^FuzzDecodeBulkBinary$' -fuzztime=10s ./internal/serve
-go test -run='^$' -fuzz='^FuzzDecodeBulkJSON$' -fuzztime=10s ./internal/serve
-go test -run='^$' -fuzz='^FuzzBulkBinary$' -fuzztime=10s ./internal/serve
-go test -run='^$' -fuzz='^FuzzBulkJSON$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz=FuzzLehmerRoundTrip -fuzztime=10s -fuzzminimizetime=1x ./internal/perm
+go test -run='^$' -fuzz=FuzzRouteDelivers -fuzztime=10s -fuzzminimizetime=1x ./internal/core
+# The request decoders read bytes off the network: /route's on its
+# pure entry, the two bulk decoders on their pure entries and through
+# the /route/bulk handler.
+go test -run='^$' -fuzz='^FuzzDecodeRouteJSON$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+go test -run='^$' -fuzz='^FuzzDecodeBulkBinary$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+go test -run='^$' -fuzz='^FuzzDecodeBulkJSON$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+go test -run='^$' -fuzz='^FuzzBulkBinary$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+go test -run='^$' -fuzz='^FuzzBulkJSON$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
 
 echo "ci: all checks passed"

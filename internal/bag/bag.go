@@ -32,21 +32,6 @@ type State struct {
 	Boxes   [][]int
 }
 
-// NewSolvedState returns the goal configuration for l boxes of n
-// balls.
-func NewSolvedState(l, n int) *State {
-	s := &State{Outside: 1, Boxes: make([][]int, l)}
-	ball := 2
-	for b := range s.Boxes {
-		s.Boxes[b] = make([]int, n)
-		for i := range s.Boxes[b] {
-			s.Boxes[b][i] = ball
-			ball++
-		}
-	}
-	return s
-}
-
 // FromPerm decodes a permutation into a state under the layout (l,n):
 // position 1 is the outside ball; positions (b−1)n+2..bn+1 are box b.
 func FromPerm(p perm.Perm, l, n int) (*State, error) {
@@ -88,26 +73,6 @@ func (s *State) N() int {
 		return 0
 	}
 	return len(s.Boxes[0])
-}
-
-// K returns the total number of balls.
-func (s *State) K() int { return s.L()*s.N() + 1 }
-
-// Clone deep-copies the state.
-func (s *State) Clone() *State {
-	c := &State{Outside: s.Outside, Boxes: make([][]int, len(s.Boxes))}
-	for b := range s.Boxes {
-		c.Boxes[b] = append([]int(nil), s.Boxes[b]...)
-	}
-	return c
-}
-
-// Color returns the color of ball j: 0 for ball 1, else ⌈(j−1)/n⌉.
-func (s *State) Color(ball int) int {
-	if ball == 1 {
-		return 0
-	}
-	return (ball-2)/s.N() + 1
 }
 
 // Solved reports whether every box b holds exactly the color-b balls
@@ -244,19 +209,6 @@ func NewGame(net *core.Network, start perm.Perm) (*Game, error) {
 		return nil, err
 	}
 	return &Game{Net: net, State: st}, nil
-}
-
-// LegalMoves returns the network's generators — the moves available
-// in every state (the game is vertex-symmetric).
-func (g *Game) LegalMoves() []gens.Generator { return g.Net.Set().Generators() }
-
-// Move applies one legal move by generator name.
-func (g *Game) Move(name string) error {
-	gen, ok := g.Net.Set().ByName(name)
-	if !ok {
-		return fmt.Errorf("bag: no move named %q in %s", name, g.Net.Name())
-	}
-	return g.State.ApplyGenerator(gen)
 }
 
 // Solve returns a sequence of moves solving the game from the current

@@ -196,11 +196,3 @@ func EmulatedMNB(nw *core.Network, model sim.Model) (starRounds, slowdown, emula
 	}
 	return rep.Rounds, slowdown, rep.Rounds * slowdown, nil
 }
-
-// SumDistances returns the sum of distances from one node to all
-// others times N (exact for vertex-symmetric graphs), used by the TE
-// lower bound.
-func SumDistances(nt *sim.Net) int64 {
-	s := nt.CSR().Stats(0)
-	return s.DistCounted * int64(nt.N())
-}

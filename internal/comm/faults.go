@@ -5,8 +5,6 @@
 package comm
 
 import (
-	"fmt"
-
 	"supercayley/internal/core"
 	"supercayley/internal/sim"
 )
@@ -29,11 +27,6 @@ type FaultSweepReport struct {
 	Net  string
 	Plan string
 	sim.SweepResult
-}
-
-// String renders the report on one line.
-func (r FaultSweepReport) String() string {
-	return fmt.Sprintf("faults on %-12s [%s] %v | %v", r.Net, r.Plan, r.SweepResult, r.SweepResult.Survivors)
 }
 
 // RunFaultSweep enumerates nw, injects the fault plan described by
@@ -64,11 +57,6 @@ type FaultyMNBReport struct {
 	Model sim.Model
 	Plan  string
 	sim.FaultyMNBResult
-}
-
-// String renders the report on one line.
-func (r FaultyMNBReport) String() string {
-	return fmt.Sprintf("MNB+faults on %-12s %-16s [%s] %v", r.Net, r.Model, r.Plan, r.FaultyMNBResult)
 }
 
 // RunFaultyMNB runs the multinode broadcast on nw under the fault

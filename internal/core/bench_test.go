@@ -105,16 +105,6 @@ func BenchmarkEmulateStarDim(b *testing.B) {
 	}
 }
 
-func BenchmarkNeighbors(b *testing.B) {
-	nw := MustNew(MS, 4, 3)
-	r := rand.New(rand.NewSource(2))
-	p := perm.Random(r, nw.K())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = nw.Neighbors(p)
-	}
-}
-
 func BenchmarkConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, f := range Families {

@@ -130,15 +130,6 @@ func (nw *Network) DimExpansion(j int) []gens.GenIndex {
 // Directed reports whether the network is a directed Cayley graph.
 func (nw *Network) Directed() bool { return !nw.set.Closed() }
 
-// Neighbors returns the out-neighbors of p in generator order.
-func (nw *Network) Neighbors(p perm.Perm) []perm.Perm {
-	out := make([]perm.Perm, nw.set.Len())
-	for i := range out {
-		out[i] = nw.set.At(i).Apply(p)
-	}
-	return out
-}
-
 // Cayley returns the enumerated graph view (node IDs = Lehmer ranks).
 func (nw *Network) Cayley(maxNodes int64) (*graph.Cayley, error) {
 	return graph.NewCayley(nw.Name(), nw.set, maxNodes)
@@ -332,20 +323,3 @@ func (nw *Network) Route(u, v perm.Perm) []gens.Generator {
 	}
 	return seq
 }
-
-// Path materializes the node sequence of Route(u, v), inclusive.
-func (nw *Network) Path(u, v perm.Perm) []perm.Perm {
-	seq := nw.Route(u, v)
-	path := make([]perm.Perm, 0, len(seq)+1)
-	path = append(path, u.Clone())
-	cur := u
-	for _, g := range seq {
-		cur = g.Apply(cur)
-		path = append(path, cur)
-	}
-	return path
-}
-
-// Distance returns the length of Route(u, v) — an upper bound on the
-// true distance, exact up to the per-family emulation constant.
-func (nw *Network) Distance(u, v perm.Perm) int { return len(nw.Route(u, v)) }

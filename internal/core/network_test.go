@@ -124,7 +124,7 @@ func TestBasicParams(t *testing.T) {
 	if nw.N() != perm.Factorial(13) {
 		t.Fatalf("N = %d", nw.N())
 	}
-	if nw.Star().K() != 13 {
+	if nw.Star().N() != perm.Factorial(13) {
 		t.Fatal("emulated star has wrong k")
 	}
 }
@@ -308,25 +308,34 @@ func TestRouteLengthBound(t *testing.T) {
 	}
 }
 
+// TestPathIsWalkInGraph walks each route through the enumerated
+// Cayley view: every hop must be an arc of the graph, and the walk
+// must end at the destination.
 func TestPathIsWalkInGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, nw := range small(t) {
-		u, v := perm.Random(r, nw.K()), perm.Random(r, nw.K())
-		path := nw.Path(u, v)
-		if !path[0].Equal(u) || !path[len(path)-1].Equal(v) {
-			t.Fatalf("%s path endpoints wrong", nw.Name())
+		cg, err := nw.Cayley(200)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(path); i++ {
+		u, v := perm.Random(r, nw.K()), perm.Random(r, nw.K())
+		cur := u.Clone()
+		for i, g := range nw.Route(u, v) {
+			next := g.Apply(cur)
 			ok := false
-			for _, q := range nw.Neighbors(path[i-1]) {
-				if q.Equal(path[i]) {
+			for _, w := range cg.Neighbors(int(cur.Rank())) {
+				if w == int(next.Rank()) {
 					ok = true
 					break
 				}
 			}
 			if !ok {
-				t.Fatalf("%s: path step %d not an arc", nw.Name(), i)
+				t.Fatalf("%s: path step %d not an arc", nw.Name(), i+1)
 			}
+			cur = next
+		}
+		if !cur.Equal(v) {
+			t.Fatalf("%s path ends at %v, want %v", nw.Name(), cur, v)
 		}
 	}
 }
@@ -339,8 +348,11 @@ func TestGraphStructureAllFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 		mat := graph.Materialize(cg)
-		if d, ok := graph.IsRegular(mat); !ok || d != nw.Degree() {
-			t.Errorf("%s: regularity d=%d ok=%v want %d", nw.Name(), d, ok, nw.Degree())
+		for v := 0; v < mat.Order(); v++ {
+			if d := len(mat.Neighbors(v)); d != nw.Degree() {
+				t.Errorf("%s: node %d has degree %d, want %d", nw.Name(), v, d, nw.Degree())
+				break
+			}
 		}
 		if got := graph.IsUndirected(mat); got == nw.Directed() {
 			t.Errorf("%s: undirected=%v but Directed()=%v", nw.Name(), got, nw.Directed())
@@ -365,7 +377,7 @@ func TestDirectedFamiliesStronglyConnected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !graph.StronglyConnected(graph.Materialize(cg)) {
+		if !graph.NewCSRFromCayley(cg).SurvivorStatsUnder(nil, nil).Connected {
 			t.Errorf("%s is not strongly connected", nw.Name())
 		}
 	}
@@ -377,11 +389,11 @@ func TestDiameterAtLeastUniversalLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat := graph.Materialize(cg)
-		diam, ok := graph.Eccentricity(mat, 0) // vertex-symmetric ⇒ ecc = diameter
-		if !ok {
+		s := graph.NewCSRFromCayley(cg).Stats(0) // vertex-symmetric ⇒ ecc = diameter
+		if !s.Connected {
 			t.Fatalf("%s disconnected", nw.Name())
 		}
+		diam := s.Ecc
 		lb := graph.DiameterLowerBound(nw.Degree(), nw.N())
 		if diam < lb {
 			t.Errorf("%s: diameter %d below universal bound %d", nw.Name(), diam, lb)
@@ -398,13 +410,12 @@ func TestNeighborsMatchCayleyView(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 20; trial++ {
 		p := perm.Random(r, 5)
-		ids := cg.Neighbors(cg.NodeID(p))
-		nbrs := nw.Neighbors(p)
-		if len(ids) != len(nbrs) {
+		ids := cg.Neighbors(int(p.Rank()))
+		if len(ids) != nw.Set().Len() {
 			t.Fatal("neighbor count mismatch")
 		}
-		for i := range nbrs {
-			if ids[i] != int(nbrs[i].Rank()) {
+		for i, id := range ids {
+			if want := nw.Set().At(i).Apply(p).Rank(); id != int(want) {
 				t.Fatalf("neighbor %d mismatch", i)
 			}
 		}

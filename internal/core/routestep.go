@@ -9,21 +9,11 @@ import (
 
 // Fault-aware routing support: the greedy emulation route of Route is
 // a fixed generator sequence, which is exactly what breaks when a
-// link on it dies.  NextStep and StepOptions expose the per-hop view
-// a rerouting layer needs — the greedy next generator, plus every
-// alternate generator of the set ranked by how good the network looks
-// from the node it leads to — so a blocked step can detour through a
-// different generator and resume greedy routing from there.
-
-// NextStep returns the first generator of the greedy emulation route
-// from u toward v, or ok = false when u == v.
-func (nw *Network) NextStep(u, v perm.Perm) (gens.Generator, bool) {
-	seq := nw.Route(u, v)
-	if len(seq) == 0 {
-		return gens.Generator{}, false
-	}
-	return seq[0], true
-}
+// link on it dies.  StepOptions exposes the per-hop view a rerouting
+// layer needs — the greedy next generator, plus every alternate
+// generator of the set ranked by how good the network looks from the
+// node it leads to — so a blocked step can detour through a different
+// generator and resume greedy routing from there.
 
 // StepOptions returns every generator of the defining set as a
 // candidate next hop from u toward v, in preference order: the greedy
@@ -34,12 +24,12 @@ func (nw *Network) NextStep(u, v perm.Perm) (gens.Generator, bool) {
 // link's parallel twin is a legitimate one-hop detour.  Returns nil
 // when u == v.
 func (nw *Network) StepOptions(u, v perm.Perm) []gens.Generator {
-	greedy, ok := nw.NextStep(u, v)
-	if !ok {
+	seq := nw.Route(u, v)
+	if len(seq) == 0 {
 		return nil
 	}
 	set := nw.set
-	greedyIdx := set.Index(greedy)
+	greedyIdx := set.Index(seq[0])
 	type cand struct {
 		idx, score int
 	}

@@ -7,26 +7,25 @@ import (
 	"supercayley/internal/perm"
 )
 
+// TestNextStepIsRouteHead checks that StepOptions offers the head of
+// the greedy route first, and nothing at the destination.
 func TestNextStepIsRouteHead(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		nw := randomNetwork(r)
 		u, v := perm.Random(r, nw.K()), perm.Random(r, nw.K())
-		g, ok := nw.NextStep(u, v)
+		opts := nw.StepOptions(u, v)
 		seq := nw.Route(u, v)
-		if ok != (len(seq) > 0) {
-			t.Fatalf("NextStep ok=%v but route has %d hops", ok, len(seq))
+		if (len(opts) > 0) != (len(seq) > 0) {
+			t.Fatalf("StepOptions has %d options but route has %d hops", len(opts), len(seq))
 		}
-		if ok && !g.Equal(seq[0]) {
-			t.Fatalf("NextStep %s != route head %s on %s", g.Name(), seq[0].Name(), nw.Name())
+		if len(seq) > 0 && !opts[0].Equal(seq[0]) {
+			t.Fatalf("StepOptions head %s != route head %s on %s", opts[0].Name(), seq[0].Name(), nw.Name())
 		}
 	}
 	// u == v has no next step.
 	nw := MustNew(MS, 2, 2)
 	id := perm.Identity(nw.K())
-	if _, ok := nw.NextStep(id, id); ok {
-		t.Fatal("NextStep at the destination must report ok=false")
-	}
 	if opts := nw.StepOptions(id, id); opts != nil {
 		t.Fatalf("StepOptions at the destination must be nil, got %v", opts)
 	}
@@ -45,7 +44,7 @@ func TestStepOptionsCoverSetGreedyFirst(t *testing.T) {
 		if len(opts) != set.Len() {
 			t.Fatalf("%s: %d options, want every generator (%d)", nw.Name(), len(opts), set.Len())
 		}
-		greedy, _ := nw.NextStep(u, v)
+		greedy := nw.Route(u, v)[0]
 		if !opts[0].Equal(greedy) {
 			t.Fatalf("%s: options[0] = %s, want greedy %s", nw.Name(), opts[0].Name(), greedy.Name())
 		}

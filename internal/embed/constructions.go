@@ -307,49 +307,6 @@ func BubbleSortInto(nw *core.Network) (*Embedding, error) {
 	}, nil
 }
 
-// TNIntoStar embeds the k-TN into the k-star with dilation 3 via
-// Tᵢⱼ = Tᵢ·T_j·Tᵢ (T₁ⱼ = T_j), the classical result the paper builds
-// Theorem 6 on.
-func TNIntoStar(k int) (*Embedding, error) {
-	tn, err := topologies.NewTranspositionNetwork(k)
-	if err != nil {
-		return nil, err
-	}
-	st, err := star.New(k)
-	if err != nil {
-		return nil, err
-	}
-	guest, err := tn.Cayley(maxEnumNodes)
-	if err != nil {
-		return nil, err
-	}
-	host, err := st.Cayley(maxEnumNodes)
-	if err != nil {
-		return nil, err
-	}
-	return &Embedding{
-		Name:   fmt.Sprintf("%d-TN into %d-star", k, k),
-		Guest:  guest,
-		Host:   host,
-		NodeOf: func(g int) int { return g },
-		PathOf: func(u, v int) ([]int, error) {
-			pu := perm.Unrank(k, int64(u))
-			pv := perm.Unrank(k, int64(v))
-			i, j, err := tnArcPair(pu, pv)
-			if err != nil {
-				return nil, err
-			}
-			var seq []gens.Generator
-			if i == 1 {
-				seq = []gens.Generator{st.Gen(j)}
-			} else {
-				seq = []gens.Generator{st.Gen(i), st.Gen(j), st.Gen(i)}
-			}
-			return pathApply(pu, seq), nil
-		},
-	}, nil
-}
-
 // StarDimBits returns the number of hypercube dimensions the
 // transposition-factorization embedding packs into the k-star:
 // Σ_{m=2..k} ⌊log₂ m⌋ = k·log₂k − Θ(k), matching Corollary 5's bound
@@ -635,11 +592,4 @@ func IntoNetwork(xToStar *Embedding, nw *core.Network) (*Embedding, error) {
 	e := Compose(xToStar, s2n)
 	e.Name = fmt.Sprintf("%s into %s", xToStar.Name, nw.Name())
 	return e, nil
-}
-
-// StarGuestDim reports the star dimension of a guest arc, for
-// per-dimension congestion measurements (the paper's observation that
-// dimension-i congestion in MS is 2 for i > n+1 and 1 otherwise).
-func StarGuestDim(k int, u, v int) (int, error) {
-	return starArcDim(perm.Unrank(k, int64(u)), perm.Unrank(k, int64(v)))
 }

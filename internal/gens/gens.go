@@ -156,15 +156,6 @@ func (g Generator) Inverse() Generator {
 	return inv
 }
 
-// custom builds a generator from an explicit position permutation.
-// Used by tests and by the bag package.
-func Custom(name string, kind Kind, class Class, pi perm.Perm) Generator {
-	if !pi.Valid() {
-		panic(fmt.Sprintf("gens: invalid position permutation for %s", name))
-	}
-	return Generator{name: name, kind: kind, class: class, pi: pi.Clone()}
-}
-
 // Transposition returns Tᵢ on k symbols: swap positions 1 and i,
 // 2 ≤ i ≤ k.  Tᵢ generators are the star-graph generator set and the
 // nucleus generators of MS, RS and complete-RS networks (with i ≤ n+1).
@@ -328,15 +319,6 @@ func newSet(allowParallel bool, gs []Generator) (*Set, error) {
 	return s, nil
 }
 
-// MustNewSet is NewSet but panics on error.
-func MustNewSet(gs ...Generator) *Set {
-	s, err := NewSet(gs...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // K returns the number of symbols the set acts on.
 //
 //scg:noalloc
@@ -347,13 +329,6 @@ func (s *Set) Len() int { return len(s.gens) }
 
 // At returns the i-th generator.
 func (s *Set) At(i int) Generator { return s.gens[i] }
-
-// Generators returns a copy of the generator slice.
-func (s *Set) Generators() []Generator {
-	out := make([]Generator, len(s.gens))
-	copy(out, s.gens)
-	return out
-}
 
 // ByName returns the generator with the given label.
 func (s *Set) ByName(name string) (Generator, bool) {

@@ -276,14 +276,17 @@ func TestNewSetRejections(t *testing.T) {
 	if _, err := NewSet(Transposition(5, 2), Insertion(5, 2)); err == nil {
 		t.Error("duplicate action (T2 == I2) accepted")
 	}
-	id := Custom("noop", KindTransposition, Nucleus, perm.Identity(4))
+	id := Generator{name: "noop", kind: KindTransposition, class: Nucleus, pi: perm.Identity(4)}
 	if _, err := NewSet(id); err == nil {
 		t.Error("identity generator accepted")
 	}
 }
 
 func TestSetAccessors(t *testing.T) {
-	s := MustNewSet(Transposition(5, 2), Transposition(5, 3), Swap(2, 2, 2))
+	s, err := NewSet(Transposition(5, 2), Transposition(5, 3), Swap(2, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.K() != 5 || s.Len() != 3 {
 		t.Fatalf("K=%d Len=%d", s.K(), s.Len())
 	}
@@ -306,7 +309,10 @@ func TestSetAccessors(t *testing.T) {
 }
 
 func TestSetNotClosed(t *testing.T) {
-	s := MustNewSet(Insertion(5, 3))
+	s, err := NewSet(Insertion(5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Closed() {
 		t.Fatal("insertion-only set should not be closed")
 	}

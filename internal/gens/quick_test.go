@@ -125,7 +125,10 @@ func TestQuickReplayIntoMatchesFoldedApply(t *testing.T) {
 		for i := 2; i <= k; i++ {
 			gs = append(gs, Transposition(k, i))
 		}
-		set := MustNewSet(gs...)
+		set, err := NewSet(gs...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		route := make([]GenIndex, r.Intn(12))
 		for i := range route {
 			route[i] = GenIndex(r.Intn(set.Len()))

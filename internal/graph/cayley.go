@@ -45,12 +45,6 @@ func (c *Cayley) Name() string { return c.name }
 // Order returns k!.
 func (c *Cayley) Order() int { return int(c.n) }
 
-// K returns the number of symbols.
-func (c *Cayley) K() int { return c.k }
-
-// Set returns the underlying generator set.
-func (c *Cayley) Set() *gens.Set { return c.set }
-
 // Neighbors returns the Lehmer ranks of v's out-neighbors.
 //
 // The returned slice AND internal permutation scratch are reused
@@ -85,6 +79,3 @@ func (c *Cayley) Degree() int { return c.set.Len() }
 
 // NodePerm returns the permutation label of node v.
 func (c *Cayley) NodePerm(v int) perm.Perm { return perm.Unrank(c.k, int64(v)) }
-
-// NodeID returns the node ID of permutation p.
-func (c *Cayley) NodeID(p perm.Perm) int { return int(p.Rank()) }

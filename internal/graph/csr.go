@@ -2,7 +2,6 @@ package graph
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -11,9 +10,8 @@ import (
 // offsets[v+1] delimiting node v's arcs.  Compared to the [][]int
 // Adjacency representation it removes one pointer indirection per
 // node, halves the per-arc footprint, and lays consecutive nodes'
-// arcs contiguously — which is what makes the all-sources BFS drivers
-// in csr_analytics.go cache-friendly enough to run k = 9 (362880
-// nodes) exhaustively.
+// arcs contiguously, which keeps the BFS kernels in csr_analytics.go
+// and csr_fault.go cache-friendly.
 //
 // A CSR is immutable after construction and safe for concurrent
 // readers; all analytics methods on it may be called from multiple
@@ -51,12 +49,6 @@ func (c *CSR) Name() string { return c.name }
 // Order returns the number of nodes.
 func (c *CSR) Order() int { return len(c.offsets) - 1 }
 
-// EdgeCount returns the number of directed arcs.
-func (c *CSR) EdgeCount() int64 { return int64(len(c.edges)) }
-
-// Degree returns the out-degree of v.
-func (c *CSR) Degree(v int) int { return int(c.offsets[v+1] - c.offsets[v]) }
-
 // Arcs returns the out-neighbors of v as a subslice of the shared
 // edge array.  Callers must not modify it.  This is the zero-copy
 // accessor the BFS kernels use.
@@ -75,7 +67,7 @@ func (c *CSR) Neighbors(v int) []int {
 }
 
 // Parallelism returns the worker count the materializer and the
-// all-sources drivers use: GOMAXPROCS, the knob Go exposes for it
+// multi-source drivers use: GOMAXPROCS, the knob Go exposes for it
 // (set runtime.GOMAXPROCS or the GOMAXPROCS env var to change it),
 // never more than one worker per unit of work.
 func Parallelism(work int) int {
@@ -174,40 +166,4 @@ func NewCSRFromGraph(g Graph) *CSR {
 		}
 	}
 	return &CSR{name: NameOf(g), offsets: offsets, edges: edges}
-}
-
-// IsUndirected reports whether every arc has a reverse arc.  It sorts
-// a copy of each node's arc segment and binary-searches for the
-// reverse of every arc — O(m log d) time and one []int32 copy of the
-// edge array, replacing the map[arc]bool set the legacy
-// graph.IsUndirected builds (which allocates a bucket per arc).
-func (c *CSR) IsUndirected() bool {
-	n := c.Order()
-	sorted := make([]int32, len(c.edges))
-	copy(sorted, c.edges)
-	parallelChunks(n, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := sorted[c.offsets[v]:c.offsets[v+1]]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		}
-	})
-	missing := make([]bool, Parallelism(n))
-	parallelChunks(n, func(worker, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for _, w := range c.Arcs(v) {
-				row := sorted[c.offsets[w]:c.offsets[w+1]]
-				i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(v) })
-				if i == len(row) || row[i] != int32(v) {
-					missing[worker] = true
-					return
-				}
-			}
-		}
-	})
-	for _, m := range missing {
-		if m {
-			return false
-		}
-	}
-	return true
 }

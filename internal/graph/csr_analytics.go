@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // BFSScratch holds the per-worker state of the single-source frontier
 // BFS kernel: a distance array, two frontier buffers, and a per-level
 // count buffer, each sized for Order().  One scratch serves every
@@ -108,64 +106,6 @@ func (c *CSR) Stats(src int) Stats {
 	return st
 }
 
-// Eccentricity returns the maximum finite distance from src and
-// whether every node was reachable.
-func (c *CSR) Eccentricity(src int) (int, bool) {
-	s := c.NewBFSScratch()
-	ecc, _, reached := levelStats(c.sweep(int32(src), s))
-	return ecc, reached == c.Order()
-}
-
-// Diameter returns the exact diameter by all-sources BFS over the
-// worker pool (-1 for disconnected graphs), batching 64 sources per
-// edge-array pass with the bit-parallel kernel in csr_msbfs.go.
-func (c *CSR) Diameter() int {
-	n := c.Order()
-	if n == 0 {
-		return 0
-	}
-	diam, _, connected := c.allSources()
-	if !connected {
-		return -1
-	}
-	return diam
-}
-
-// AverageDistanceExact computes the true mean distance over all
-// ordered pairs by parallel all-sources BFS.  Per-source distance
-// sums are exact int64 counts reduced in a fixed order, so the result
-// is bit-identical to the sequential legacy implementation.
-func (c *CSR) AverageDistanceExact() (float64, error) {
-	n := c.Order()
-	if n < 2 {
-		return 0, nil
-	}
-	_, total, connected := c.allSources()
-	if !connected {
-		// Identify a disconnected source for the error message the
-		// same way the legacy implementation does.
-		s := c.NewBFSScratch()
-		for v := 0; v < n; v++ {
-			if _, _, reached := levelStats(c.sweep(int32(v), s)); reached != n {
-				return 0, fmt.Errorf("graph: disconnected from %d", v)
-			}
-		}
-	}
-	return float64(total) / float64(int64(n)*int64(n-1)), nil
-}
-
-// DegreeProfile returns the distance profile from src: how many nodes
-// lie at each distance.  Matches the legacy DegreeProfile.
-func (c *CSR) DegreeProfile(src int) []int {
-	s := c.NewBFSScratch()
-	levels := c.sweep(int32(src), s)
-	profile := make([]int, len(levels))
-	for d, cnt := range levels {
-		profile[d] = int(cnt)
-	}
-	return profile
-}
-
 // LooksVertexSymmetric checks the same necessary symmetry condition
 // as the legacy implementation — identical distance profiles from up
 // to sample evenly-spaced sources — with the sampled sources spread
@@ -212,20 +152,4 @@ func (c *CSR) LooksVertexSymmetric(sample int) bool {
 		}
 	}
 	return true
-}
-
-// IsRegular reports whether every node has the same out-degree, and
-// returns that degree (or -1).
-func (c *CSR) IsRegular() (int, bool) {
-	n := c.Order()
-	if n == 0 {
-		return -1, false
-	}
-	d := c.Degree(0)
-	for v := 1; v < n; v++ {
-		if c.Degree(v) != d {
-			return -1, false
-		}
-	}
-	return d, true
 }

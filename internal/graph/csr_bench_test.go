@@ -1,20 +1,11 @@
 package graph
 
-import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"testing"
-	"time"
-)
+import "testing"
 
-// Benchmarks for the graph analytics engine: materialization
-// (legacy [][]int Adjacency vs parallel CSR) and all-sources BFS
-// (legacy sequential BFS-per-source vs the batched bit-parallel CSR
-// engine) at k = 7 (5040 nodes) and k = 8 (40320 nodes).
+// Benchmarks for graph materialization (legacy [][]int Adjacency vs
+// parallel CSR) at k = 7 (5040 nodes) and k = 8 (40320 nodes).
 //
 // Run with:  go test ./internal/graph -bench BenchmarkGraph -benchtime 1x
-// Snapshot:  SCG_WRITE_BENCH=1 go test ./internal/graph -run WriteBenchSnapshot -v
 
 func benchCayley(b testing.TB, k int) *Cayley {
 	cg, err := NewCayley("star", starSet(k), 0)
@@ -22,23 +13,6 @@ func benchCayley(b testing.TB, k int) *Cayley {
 		b.Fatal(err)
 	}
 	return cg
-}
-
-func legacyAllSources(g Graph) int64 {
-	var total int64
-	for v := 0; v < g.Order(); v++ {
-		for _, d := range BFS(g, v) {
-			if d > 0 {
-				total += int64(d)
-			}
-		}
-	}
-	return total
-}
-
-func csrAllSources(c *CSR) int64 {
-	_, total, _ := c.allSources()
-	return total
 }
 
 func BenchmarkGraphMaterializeAdjacency7(b *testing.B) { benchMaterializeAdjacency(b, 7) }
@@ -63,103 +37,5 @@ func benchMaterializeCSR(b *testing.B, k int) {
 		if NewCSRFromCayley(cg).Order() != cg.Order() {
 			b.Fatal("bad order")
 		}
-	}
-}
-
-func BenchmarkGraphAllSourcesBFSLegacy7(b *testing.B) { benchAllSourcesLegacy(b, 7) }
-func BenchmarkGraphAllSourcesBFSLegacy8(b *testing.B) { benchAllSourcesLegacy(b, 8) }
-func BenchmarkGraphAllSourcesBFSCSR7(b *testing.B)    { benchAllSourcesCSR(b, 7) }
-func BenchmarkGraphAllSourcesBFSCSR8(b *testing.B)    { benchAllSourcesCSR(b, 8) }
-
-func benchAllSourcesLegacy(b *testing.B, k int) {
-	mat := Materialize(benchCayley(b, k))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if legacyAllSources(mat) == 0 {
-			b.Fatal("no distances")
-		}
-	}
-}
-
-func benchAllSourcesCSR(b *testing.B, k int) {
-	csr := NewCSRFromCayley(benchCayley(b, k))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if csrAllSources(csr) == 0 {
-			b.Fatal("no distances")
-		}
-	}
-}
-
-// benchEntry is one measurement in BENCH_graph.json.
-type benchEntry struct {
-	Name    string  `json:"name"`
-	Engine  string  `json:"engine"`
-	K       int     `json:"k"`
-	Nodes   int     `json:"nodes"`
-	Seconds float64 `json:"seconds"`
-	Speedup float64 `json:"speedup_vs_legacy,omitempty"`
-}
-
-type benchSnapshot struct {
-	Generated  string       `json:"generated"`
-	GoMaxProcs int          `json:"go_max_procs"`
-	NumCPU     int          `json:"num_cpu"`
-	Note       string       `json:"note"`
-	Entries    []benchEntry `json:"entries"`
-}
-
-// TestWriteBenchSnapshot regenerates BENCH_graph.json at the repo
-// root so future PRs can track the analytics-engine trajectory.  It
-// is opt-in (several minutes of all-sources BFS at k = 8):
-//
-//	SCG_WRITE_BENCH=1 go test ./internal/graph -run WriteBenchSnapshot -v -timeout 30m
-func TestWriteBenchSnapshot(t *testing.T) {
-	if os.Getenv("SCG_WRITE_BENCH") == "" {
-		t.Skip("set SCG_WRITE_BENCH=1 to regenerate BENCH_graph.json")
-	}
-	snap := benchSnapshot{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "all-sources BFS over the k-star; legacy = sequential BFS per source on " +
-			"[][]int adjacency, csr_parallel = 64-source bit-parallel batches over the worker pool",
-	}
-	sec := func(f func()) float64 {
-		t0 := time.Now()
-		f()
-		return time.Since(t0).Seconds()
-	}
-	for _, k := range []int{7, 8} {
-		cg := benchCayley(t, k)
-		n := cg.Order()
-		var mat *Adjacency
-		var csr *CSR
-		tAdj := sec(func() { mat = Materialize(cg) })
-		tCSR := sec(func() { csr = NewCSRFromCayley(cg) })
-		snap.Entries = append(snap.Entries,
-			benchEntry{Name: "materialize", Engine: "adjacency_seq", K: k, Nodes: n, Seconds: tAdj},
-			benchEntry{Name: "materialize", Engine: "csr_parallel", K: k, Nodes: n, Seconds: tCSR,
-				Speedup: tAdj / tCSR},
-		)
-		var legacyTotal, csrTotal int64
-		tLegacy := sec(func() { legacyTotal = legacyAllSources(mat) })
-		tEngine := sec(func() { csrTotal = csrAllSources(csr) })
-		if legacyTotal != csrTotal {
-			t.Fatalf("k=%d: engines disagree: legacy %d, csr %d", k, legacyTotal, csrTotal)
-		}
-		snap.Entries = append(snap.Entries,
-			benchEntry{Name: "all_sources_bfs", Engine: "legacy_seq", K: k, Nodes: n, Seconds: tLegacy},
-			benchEntry{Name: "all_sources_bfs", Engine: "csr_parallel", K: k, Nodes: n, Seconds: tEngine,
-				Speedup: tLegacy / tEngine},
-		)
-		t.Logf("k=%d: legacy %.2fs, csr %.2fs (%.2fx)", k, tLegacy, tEngine, tLegacy/tEngine)
-	}
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_graph.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

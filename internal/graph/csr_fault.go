@@ -10,20 +10,56 @@ import (
 // subgraph; the questions the fault simulator asks — which survivors
 // can still reach which, how large is the largest reachable set, is
 // the survivor graph still strongly connected — are answered here by
-// masked variants of the 64-source bit-parallel BFS kernel of
-// csr_msbfs.go.  Dead nodes never enter a frontier and dead arcs are
-// skipped during relaxation, so one pass over the live arcs per level
-// serves 64 sources, exactly as in the fault-free engine.
+// a masked multi-source bit-parallel BFS (MS-BFS).
+//
+// Running one BFS per source reads the whole edge array once per
+// source.  MS-BFS amortizes that memory traffic by advancing 64
+// sources together: each node carries a 64-bit visited mask (bit i
+// set ⇔ reached from source i), and one pass over the active nodes'
+// arcs per level ORs frontier masks into neighbors, so the per-arc
+// work is a single 64-wide AND-NOT/OR.  Dead nodes never enter a
+// frontier and dead arcs are skipped during relaxation.
 
 // ArcDownFunc reports whether the i-th out-arc of node v is deleted
 // (i indexes into Arcs(v), matching the port order of Cayley
 // materializations).  A nil ArcDownFunc means no arc faults.
 type ArcDownFunc func(v, i int) bool
 
-// msbfsUnder is msbfs restricted to the survivor subgraph: sources
-// must be alive; dead nodes are never visited and arcs with
-// arcDown(v, i) true are skipped.  With dead == nil and arcDown == nil
-// it visits exactly what msbfs visits.
+// msScratch is the per-worker state for one 64-source batch: visited,
+// current-frontier and next-frontier masks per node, plus the active
+// node lists.
+type msScratch struct {
+	vis  []uint64
+	cur  []uint64
+	nxt  []uint64
+	list []int32 // nodes with cur != 0
+	next []int32 // nodes with nxt != 0
+}
+
+func (c *CSR) newMSScratch() *msScratch {
+	n := c.Order()
+	return &msScratch{
+		vis:  make([]uint64, n),
+		cur:  make([]uint64, n),
+		nxt:  make([]uint64, n),
+		list: make([]int32, 0, n),
+		next: make([]int32, 0, n),
+	}
+}
+
+// msResult accumulates per-source statistics for one batch.
+type msResult struct {
+	ecc     [64]int32
+	sum     [64]int64
+	reached [64]int32
+}
+
+// msbfsUnder runs one bit-parallel BFS over the ≤64 sources srcs in
+// the survivor subgraph, filling res with each source's eccentricity,
+// sum of finite distances, and reached-node count (including the
+// source itself).  Sources must be alive; dead nodes are never
+// visited and arcs with arcDown(v, i) true are skipped.  dead and
+// arcDown may be nil (no faults).
 func (c *CSR) msbfsUnder(srcs []int32, s *msScratch, res *msResult, dead []bool, arcDown ArcDownFunc) {
 	vis, cur, nxt := s.vis, s.cur, s.nxt
 	for i := range vis {
@@ -198,17 +234,6 @@ type ReachMatrix struct {
 // At reports whether v is reachable from u.
 func (m *ReachMatrix) At(u, v int) bool {
 	return m.bits[u*m.words+v>>6]&(1<<uint(v&63)) != 0
-}
-
-// CountFrom returns the number of nodes reachable from u (including
-// u itself when u is alive).
-func (m *ReachMatrix) CountFrom(u int) int {
-	row := m.bits[u*m.words : (u+1)*m.words]
-	total := 0
-	for _, w := range row {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }
 
 // MaxReachMatrixNodes bounds the dense reachability matrix: beyond

@@ -41,25 +41,3 @@ func WriteDOT(w io.Writer, g Graph, name string, labels func(int) string) error 
 	_, err := fmt.Fprintln(w, "}")
 	return err
 }
-
-// StronglyConnected reports whether every node reaches every other
-// node, checking forward reachability from node 0 and reachability in
-// the reverse graph (sufficient for total strong connectivity).
-func StronglyConnected(g Graph) bool {
-	n := g.Order()
-	if n == 0 {
-		return false
-	}
-	if s := StatsFrom(g, 0); !s.Connected {
-		return false
-	}
-	// Reverse graph.
-	radj := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			radj[u] = append(radj[u], v)
-		}
-	}
-	s := StatsFrom(NewAdjacency("reverse", radj), 0)
-	return s.Connected
-}

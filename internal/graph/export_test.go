@@ -39,15 +39,18 @@ func TestWriteDOTDirectedWithLabels(t *testing.T) {
 	}
 }
 
+// TestStronglyConnected reads strong connectivity off the survivor
+// statistics of a fault-free graph: every node reaches every other.
 func TestStronglyConnected(t *testing.T) {
+	strong := func(g Graph) bool { return NewCSRFromGraph(g).SurvivorStatsUnder(nil, nil).Connected }
 	// Directed cycle: strongly connected.
 	cyc := NewAdjacency("cycle", [][]int{{1}, {2}, {0}})
-	if !StronglyConnected(cyc) {
+	if !strong(cyc) {
 		t.Fatal("directed cycle should be strongly connected")
 	}
 	// Directed path: not.
 	path := NewAdjacency("path", [][]int{{1}, {2}, {}})
-	if StronglyConnected(path) {
+	if strong(path) {
 		t.Fatal("directed path should not be strongly connected")
 	}
 	// The 5-rotator (insertions only) is strongly connected.
@@ -55,11 +58,15 @@ func TestStronglyConnected(t *testing.T) {
 	for i := 2; i <= 5; i++ {
 		gs = append(gs, gens.Insertion(5, i))
 	}
-	cg, err := NewCayley("5-rotator", gens.MustNewSet(gs...), 0)
+	set, err := gens.NewSet(gs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !StronglyConnected(Materialize(cg)) {
+	cg, err := NewCayley("5-rotator", set, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strong(cg) {
 		t.Fatal("rotator should be strongly connected")
 	}
 }
@@ -67,11 +74,7 @@ func TestStronglyConnected(t *testing.T) {
 func TestHamiltonianWord(t *testing.T) {
 	// 4-star: a Hamiltonian word of 23 letters whose partial products
 	// visit all 24 nodes.
-	var gs []gens.Generator
-	for i := 2; i <= 4; i++ {
-		gs = append(gs, gens.Transposition(4, i))
-	}
-	cg, err := NewCayley("4-star", gens.MustNewSet(gs...), 0)
+	cg, err := NewCayley("4-star", starSet(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestHamiltonianWord(t *testing.T) {
 func TestHamiltonianWordFailsGracefully(t *testing.T) {
 	// The 2-star (a single edge) has a trivial word; exercise the tiny
 	// case.
-	cg, err := NewCayley("2-star", gens.MustNewSet(gens.Transposition(2, 2)), 0)
+	cg, err := NewCayley("2-star", starSet(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package graph provides the generic finite-graph machinery used to
 // analyze and cross-check every topology in this repository: breadth
-// first search, diameter and average internodal distance, regularity
-// and vertex-symmetry checks, and the universal Moore-style diameter
+// first search, single-source distance statistics, vertex-symmetry
+// and reachability checks, and the universal Moore-style diameter
 // lower bound DL(d, N) the paper argues against.
 //
 // Nodes are dense integers 0..Order()-1.  Cayley-graph topologies
@@ -73,11 +73,11 @@ func Materialize(g Graph) *Adjacency {
 // BFS runs breadth-first search from src and returns the distance
 // slice (-1 for unreachable nodes).
 //
-// BFS, Diameter, AverageDistanceExact, DegreeProfile and friends in
-// this file are the sequential reference implementations, kept as a
-// compatibility layer and as the differential-test oracle.  Repeated
-// or large-scale analytics should materialize a CSR (NewCSRFromCayley
-// / NewCSRFromGraph) and use its allocation-lean parallel drivers.
+// BFS, StatsFrom, DegreeProfile and LooksVertexSymmetric in this file
+// are the sequential reference implementations the CSR engine is
+// tested against.  Analytics should materialize a CSR
+// (NewCSRFromCayley / NewCSRFromGraph) and use its allocation-lean
+// drivers.
 func BFS(g Graph, src int) []int {
 	n := g.Order()
 	dist := make([]int, n)
@@ -98,23 +98,6 @@ func BFS(g Graph, src int) []int {
 		}
 	}
 	return dist
-}
-
-// Eccentricity returns the maximum finite distance from src, and
-// whether every node was reachable.
-func Eccentricity(g Graph, src int) (int, bool) {
-	dist := BFS(g, src)
-	ecc, connected := 0, true
-	for _, d := range dist {
-		if d < 0 {
-			connected = false
-			continue
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, connected
 }
 
 // Stats aggregates distance statistics from a single source.  For a
@@ -147,40 +130,6 @@ func StatsFrom(g Graph, src int) Stats {
 		s.Mean = float64(s.DistCounted) / float64(s.Reached-1)
 	}
 	return s
-}
-
-// Diameter returns the exact diameter by running BFS from every node.
-// For vertex-symmetric graphs prefer StatsFrom(g, 0).Ecc.  Returns -1
-// for disconnected graphs.
-func Diameter(g Graph) int {
-	n := g.Order()
-	diam := 0
-	for v := 0; v < n; v++ {
-		ecc, ok := Eccentricity(g, v)
-		if !ok {
-			return -1
-		}
-		if ecc > diam {
-			diam = ecc
-		}
-	}
-	return diam
-}
-
-// IsRegular reports whether every node has the same out-degree, and
-// returns that degree (or -1).
-func IsRegular(g Graph) (int, bool) {
-	n := g.Order()
-	if n == 0 {
-		return -1, false
-	}
-	d := len(g.Neighbors(0))
-	for v := 1; v < n; v++ {
-		if len(g.Neighbors(v)) != d {
-			return -1, false
-		}
-	}
-	return d, true
 }
 
 // IsUndirected reports whether every arc has a reverse arc.
@@ -277,59 +226,8 @@ func DiameterLowerBound(d int, n int64) int {
 	}
 }
 
-// MeanDistanceLowerBound returns a lower bound on the mean internodal
-// distance of an N-node graph with out-degree d, following the
-// counting argument the paper uses for the TE lower bound: at most dⁱ
-// nodes can lie at distance i.
-func MeanDistanceLowerBound(d int, n int64) float64 {
-	if n <= 1 || d < 1 {
-		return 0
-	}
-	var sum float64
-	level := int64(1)
-	remaining := n - 1
-	for depth := 1; remaining > 0; depth++ {
-		level *= int64(d)
-		if level < 0 || level > remaining {
-			level = remaining
-		}
-		sum += float64(level) * float64(depth)
-		remaining -= level
-	}
-	return sum / float64(n-1)
-}
-
-// CountEdges returns the number of directed arcs.
-func CountEdges(g Graph) int64 {
-	var m int64
-	for v := 0; v < g.Order(); v++ {
-		m += int64(len(g.Neighbors(v)))
-	}
-	return m
-}
-
 // Bisection width and the like are deliberately omitted: the paper
 // makes no bisection claims and exact bisection is NP-hard.
-
-// AverageDistanceExact computes the true mean over all ordered pairs
-// by all-sources BFS.  Quadratic; restrict to small graphs.
-func AverageDistanceExact(g Graph) (float64, error) {
-	n := g.Order()
-	if n < 2 {
-		return 0, nil
-	}
-	var total int64
-	for v := 0; v < n; v++ {
-		dist := BFS(g, v)
-		for _, d := range dist {
-			if d < 0 {
-				return 0, fmt.Errorf("graph: disconnected from %d", v)
-			}
-			total += int64(d)
-		}
-	}
-	return float64(total) / float64(int64(n)*int64(n-1)), nil
-}
 
 // Log2 returns log₂ x as float64 (tiny convenience for bound
 // formulas; kept here so bound code reads like the paper).

@@ -3,7 +3,6 @@ package graph
 import (
 	"testing"
 
-	"supercayley/internal/gens"
 	"supercayley/internal/perm"
 )
 
@@ -47,19 +46,28 @@ func TestBFSDisconnected(t *testing.T) {
 	if dist[1] != -1 {
 		t.Fatal("unreachable node should be -1")
 	}
-	if _, ok := Eccentricity(g, 0); ok {
-		t.Fatal("Eccentricity should report disconnection")
-	}
-	if Diameter(g) != -1 {
-		t.Fatal("Diameter of disconnected graph should be -1")
+	if StatsFrom(g, 0).Connected {
+		t.Fatal("StatsFrom should report disconnection")
 	}
 }
 
+// TestDiameterRingAndPath takes the diameter as the largest CSR
+// single-source eccentricity.
 func TestDiameterRingAndPath(t *testing.T) {
-	if d := Diameter(ring(9)); d != 4 {
+	diameter := func(g Graph) int {
+		csr := NewCSRFromGraph(g)
+		d := 0
+		for v := 0; v < csr.Order(); v++ {
+			if e := csr.Stats(v).Ecc; e > d {
+				d = e
+			}
+		}
+		return d
+	}
+	if d := diameter(ring(9)); d != 4 {
 		t.Fatalf("ring(9) diameter = %d, want 4", d)
 	}
-	if d := Diameter(pathGraph(6)); d != 5 {
+	if d := diameter(pathGraph(6)); d != 5 {
 		t.Fatalf("path(6) diameter = %d, want 5", d)
 	}
 }
@@ -76,11 +84,14 @@ func TestStatsFrom(t *testing.T) {
 }
 
 func TestIsRegularAndUndirected(t *testing.T) {
-	if d, ok := IsRegular(ring(5)); !ok || d != 2 {
-		t.Fatalf("ring should be 2-regular: %d %v", d, ok)
+	csr := NewCSRFromGraph(ring(5))
+	for v := 0; v < csr.Order(); v++ {
+		if d := len(csr.Arcs(v)); d != 2 {
+			t.Fatalf("ring node %d has %d arcs, want 2", v, d)
+		}
 	}
-	if _, ok := IsRegular(pathGraph(4)); ok {
-		t.Fatal("path should not be regular")
+	if d := len(NewCSRFromGraph(pathGraph(4)).Arcs(0)); d != 1 {
+		t.Fatalf("path end has %d arcs, want 1", d)
 	}
 	if !IsUndirected(ring(5)) {
 		t.Fatal("ring should be undirected")
@@ -123,32 +134,42 @@ func TestDiameterLowerBound(t *testing.T) {
 	}
 }
 
-func TestMeanDistanceLowerBound(t *testing.T) {
-	// On the ring(6), degree 2: bound must hold (actual mean 9/5).
-	lb := MeanDistanceLowerBound(2, 6)
-	if lb <= 0 || lb > 9.0/5.0 {
-		t.Fatalf("mean bound %f violates actual", lb)
-	}
-	if MeanDistanceLowerBound(3, 1) != 0 {
-		t.Fatal("trivial bound should be 0")
-	}
-}
-
+// TestAverageDistanceExact sums the CSR single-source distance
+// counts over every source: the exact mean over all ordered pairs.
 func TestAverageDistanceExact(t *testing.T) {
-	mean, err := AverageDistanceExact(ring(6))
-	if err != nil {
-		t.Fatal(err)
+	csr := NewCSRFromGraph(ring(6))
+	var total int64
+	for v := 0; v < csr.Order(); v++ {
+		total += csr.Stats(v).DistCounted
 	}
-	if mean != 9.0/5.0 {
+	if mean := float64(total) / (6 * 5); mean != 9.0/5.0 {
 		t.Fatalf("mean = %f, want 1.8", mean)
 	}
-	if _, err := AverageDistanceExact(NewAdjacency("x", [][]int{{}, {}})); err == nil {
-		t.Fatal("disconnected mean should error")
+	if NewCSRFromGraph(NewAdjacency("x", [][]int{{}, {}})).Stats(0).Connected {
+		t.Fatal("two isolated nodes should not be connected")
 	}
 }
 
+// TestCountEdges checks NewCSRFromGraph's copy of a non-Cayley graph
+// arc for arc.
 func TestCountEdges(t *testing.T) {
-	if m := CountEdges(ring(7)); m != 14 {
+	g := ring(7)
+	csr := NewCSRFromGraph(g)
+	m := 0
+	for v := 0; v < g.Order(); v++ {
+		want := g.Neighbors(v)
+		got := csr.Arcs(v)
+		if len(got) != len(want) {
+			t.Fatalf("node %d: %d arcs, want %d", v, len(got), len(want))
+		}
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("node %d arc %d: %d, want %d", v, i, got[i], want[i])
+			}
+		}
+		m += len(got)
+	}
+	if m != 14 {
 		t.Fatalf("ring(7) arcs = %d, want 14", m)
 	}
 }
@@ -167,31 +188,24 @@ func TestMaterializeAndNameOf(t *testing.T) {
 }
 
 func TestCayleyAdapter(t *testing.T) {
-	set := gens.MustNewSet(
-		gens.Transposition(4, 2),
-		gens.Transposition(4, 3),
-		gens.Transposition(4, 4),
-	)
+	set := starSet(4)
 	cg, err := NewCayley("4-star", set, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cg.Order() != 24 || cg.K() != 4 {
-		t.Fatalf("order %d k %d", cg.Order(), cg.K())
+	if cg.Order() != 24 || cg.Degree() != 3 {
+		t.Fatalf("order %d degree %d", cg.Order(), cg.Degree())
 	}
-	// Round-trip node IDs.
+	// Node labels are Lehmer ranks.
 	for v := 0; v < 24; v++ {
-		if cg.NodeID(cg.NodePerm(v)) != v {
+		if int(cg.NodePerm(v).Rank()) != v {
 			t.Fatalf("node %d round-trip failed", v)
 		}
 	}
-	// 4-star: diameter 4, connected, 3-regular, undirected.
+	// 4-star: diameter 4 (the eccentricity of any node), undirected.
 	mat := Materialize(cg)
-	if d := Diameter(mat); d != 4 {
+	if d := StatsFrom(mat, 0).Ecc; d != 4 {
 		t.Fatalf("4-star diameter = %d, want 4", d)
-	}
-	if d, ok := IsRegular(mat); !ok || d != 3 {
-		t.Fatal("4-star should be 3-regular")
 	}
 	if !IsUndirected(mat) {
 		t.Fatal("4-star should be undirected")

@@ -192,17 +192,6 @@ func (m *Module) newRun(rules []string, pkgs []*Package) (*Run, error) {
 	return r, nil
 }
 
-// Lint runs every analyzer over the given packages (default: the whole
-// module) and returns the findings sorted by position.
-func (m *Module) Lint(pkgs ...*Package) []Finding {
-	out, err := m.LintRules(nil, pkgs...)
-	if err != nil {
-		// nil rule list cannot name an unknown rule.
-		panic(err)
-	}
-	return out
-}
-
 // LintRules runs the named rules (nil = all) over the given packages
 // (default: the whole module), analyzing packages in parallel, and
 // returns the findings sorted by position — deterministic regardless

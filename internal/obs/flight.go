@@ -97,9 +97,6 @@ type Journey struct {
 	spans  [MaxJourneySpans]flightSpan
 }
 
-// Active reports whether the journey is recording.
-func (j *Journey) Active() bool { return j.active }
-
 // Cancel deactivates the journey without retaining anything; pooled
 // jobs call it on Reset so a recycled journey cannot leak marks.
 //

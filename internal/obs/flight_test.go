@@ -21,14 +21,14 @@ func TestFlightJourneySpansTile(t *testing.T) {
 	r := NewFlightRecorder(FlightConfig{Rings: 2, SlotsPerRing: 8, Sample: 1, TailKeep: 4, Window: time.Hour})
 	var j Journey
 	r.Begin(&j, JourneyRoute)
-	if !j.Active() {
+	if !j.active {
 		t.Fatal("journey inactive after Begin on an enabled recorder")
 	}
 	j.Mark(stFlightA)
 	j.Mark(stFlightB)
 	j.SetPairs(3)
 	r.Finish(&j)
-	if j.Active() {
+	if j.active {
 		t.Fatal("journey still active after Finish")
 	}
 
@@ -70,7 +70,7 @@ func TestFlightInactiveJourneyNoops(t *testing.T) {
 
 	r.SetEnabled(false)
 	r.Begin(&j, JourneyBulk)
-	if j.Active() {
+	if j.active {
 		t.Fatal("Begin on a disabled recorder activated the journey")
 	}
 }

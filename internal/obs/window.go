@@ -124,16 +124,6 @@ func (w *WindowRing) Start() {
 	}()
 }
 
-// Rotations returns how many captures have been taken.
-func (w *WindowRing) Rotations() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rotations
-}
-
-// Period returns the rotation period.
-func (w *WindowRing) Period() time.Duration { return w.period }
-
 // Window returns the distribution of the named histogram over the
 // last k rotations: the current cumulative snapshot minus the capture
 // k back (clamped to the oldest capture; before any rotation the

@@ -55,11 +55,11 @@ func TestWindowRingArithmetic(t *testing.T) {
 		t.Fatal("Window on an unregistered histogram reported ok")
 	}
 
-	if got := w.Rotations(); got != 2 {
-		t.Fatalf("Rotations = %d, want 2", got)
+	if got := w.rotations; got != 2 {
+		t.Fatalf("rotations = %d, want 2", got)
 	}
-	if got := w.Period(); got != time.Second {
-		t.Fatalf("Period = %v, want 1s", got)
+	if got := w.period; got != time.Second {
+		t.Fatalf("period = %v, want 1s", got)
 	}
 }
 

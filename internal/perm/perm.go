@@ -170,17 +170,6 @@ func (p Perm) InverseInto(dst Perm) {
 	}
 }
 
-// PositionOf returns the 1-indexed position of symbol s in p, or 0 if
-// s is not a symbol of p.
-func (p Perm) PositionOf(s int) int {
-	for i, t := range p {
-		if int(t) == s {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // String renders p as "(3 1 2)".
 func (p Perm) String() string {
 	var b strings.Builder
@@ -341,36 +330,6 @@ func (p Perm) Cycles() [][]int {
 		cycles = append(cycles, cyc)
 	}
 	return cycles
-}
-
-// NumMisplaced returns the number of positions i with p[i] != i+1.
-func (p Perm) NumMisplaced() int {
-	m := 0
-	for i, s := range p {
-		if int(s) != i+1 {
-			m++
-		}
-	}
-	return m
-}
-
-// Parity returns 0 for even permutations and 1 for odd ones.
-func (p Perm) Parity() int {
-	k := len(p)
-	seen := make([]bool, k+1)
-	transpositions := 0
-	for s := 1; s <= k; s++ {
-		if seen[s] {
-			continue
-		}
-		length := 0
-		for t := s; !seen[t]; t = int(p[t-1]) {
-			seen[t] = true
-			length++
-		}
-		transpositions += length - 1
-	}
-	return transpositions & 1
 }
 
 // StarDistance returns the exact distance from p to the identity in

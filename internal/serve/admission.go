@@ -119,14 +119,3 @@ func (l *Limiter) allowAt(client string, n int, now time.Time) (bool, time.Durat
 	}
 	return false, wait
 }
-
-// Clients returns the number of distinct tracked clients (excluding
-// the overflow bucket).
-func (l *Limiter) Clients() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.clients)
-}

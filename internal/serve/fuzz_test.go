@@ -1,12 +1,16 @@
 package serve
 
-// Fuzz targets for the two bulk decoders, at two depths.
+// Fuzz targets for the request decoders: /route's on its pure entry,
+// the two bulk decoders at two depths.
 //
-// FuzzDecodeBulkBinary and FuzzDecodeBulkJSON call the pure decoders
-// directly, so every execution of an input runs the same code: no
-// panic; an accepted input carries 1…MaxBulk pairs; an accepted binary
-// frame re-encodes to the same bytes; an accepted JSON body yields the
-// same pairs as encoding/json.
+// FuzzDecodeRouteJSON, FuzzDecodeBulkBinary and FuzzDecodeBulkJSON
+// call the pure decoders directly, so every execution of an input runs
+// the same code: no panic; an accepted /route body decodes to
+// encoding/json's src and dst, and every body of at most 1 KiB that
+// encoding/json accepts is accepted; an accepted bulk input carries
+// 1…MaxBulk pairs; an accepted binary frame re-encodes to the same
+// bytes; an accepted JSON bulk body yields the same pairs as
+// encoding/json.
 //
 // FuzzBulkBinary and FuzzBulkJSON drive the /route/bulk handler, so
 // that admission, the batcher and the encoder run behind every input
@@ -102,6 +106,50 @@ func checkDecoded(t *testing.T, j *Job) {
 	if len(j.srcs) < 1 || len(j.srcs) > fuzzMaxBulk {
 		t.Fatalf("accepted input carries %d pairs, want 1…%d", len(j.srcs), fuzzMaxBulk)
 	}
+}
+
+// FuzzDecodeRouteJSON fuzzes the pure /route decoder against
+// encoding/json.  Its seeds are /route bodies drawn as the HTTP
+// differential draws them, TestHTTPRejectsMalformed's /route bodies,
+// and bodies just inside and just over the 1 KiB bound.
+func FuzzDecodeRouteJSON(f *testing.F) {
+	n := perm.Factorial(5)
+	r := rand.New(rand.NewSource(72))
+	for i := 0; i < 8; i++ {
+		body, err := json.Marshal(routeRequest{Src: r.Int63n(n), Dst: r.Int63n(n)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range []string{"", "{nope", `{"src": 0, "dst": 999999}`, `{"src":1,"dst":2}]`} {
+		f.Add([]byte(body))
+	}
+	pad := func(n int) []byte {
+		return append([]byte(`{"src":1,"dst":2}`), bytes.Repeat([]byte{' '}, n-len(`{"src":1,"dst":2}`))...)
+	}
+	f.Add(pad(maxRouteBody))
+	f.Add(pad(maxRouteBody + 1))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeRouteJSON(body)
+		var want routeRequest
+		wantErr := json.Unmarshal(body, &want)
+		if err != nil {
+			if len(body) <= maxRouteBody && wantErr == nil {
+				t.Fatalf("rejected %q (%v), which encoding/json accepts", body, err)
+			}
+			return
+		}
+		if len(body) > maxRouteBody {
+			t.Fatalf("accepted a %d-byte body, over the %d-byte bound", len(body), maxRouteBody)
+		}
+		if wantErr != nil {
+			t.Fatalf("accepted %q, which encoding/json rejects: %v", body, wantErr)
+		}
+		if req != want {
+			t.Fatalf("%q decoded to %d→%d, encoding/json reads %d→%d", body, req.Src, req.Dst, want.Src, want.Dst)
+		}
+	})
 }
 
 // FuzzDecodeBulkBinary fuzzes the pure binary-frame decoder.

@@ -13,7 +13,11 @@ func benchStarNet(b *testing.B, k int) *Net {
 	for i := 2; i <= k; i++ {
 		gs = append(gs, gens.Transposition(k, i))
 	}
-	nt, err := FromSet("star", gens.MustNewSet(gs...))
+	set, err := gens.NewSet(gs...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nt, err := FromSet("star", set)
 	if err != nil {
 		b.Fatal(err)
 	}

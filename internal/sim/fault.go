@@ -220,14 +220,6 @@ func (fp *FaultPlan) LinkFaults() int {
 	return fp.links
 }
 
-// Spec returns the spec the plan was built from.
-func (fp *FaultPlan) Spec() FaultSpec {
-	if fp == nil {
-		return FaultSpec{}
-	}
-	return fp.spec
-}
-
 // NodeAlive reports whether node v is alive at the given round.
 func (fp *FaultPlan) NodeAlive(v, round int) bool {
 	return fp == nil || int32(round) < fp.nodeAt[v]

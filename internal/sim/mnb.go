@@ -10,8 +10,7 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
-func (b bitset) has(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+func (b bitset) set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
 // full reports whether bits 0..n-1 are all set.
 func (b bitset) full(n int) bool {

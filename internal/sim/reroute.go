@@ -70,23 +70,6 @@ const (
 	PairAborted
 )
 
-// String names the outcome.
-func (o PairOutcome) String() string {
-	switch o {
-	case PairDelivered:
-		return "delivered"
-	case PairSourceDead:
-		return "source-dead"
-	case PairDestDead:
-		return "dest-dead"
-	case PairUnreachable:
-		return "unreachable"
-	case PairAborted:
-		return "aborted"
-	}
-	return fmt.Sprintf("PairOutcome(%d)", int(o))
-}
-
 // SurvivorReport summarizes the survivor subgraph of a fault plan.
 type SurvivorReport struct {
 	Alive, DeadNodes, DeadLinks int

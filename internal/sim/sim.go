@@ -91,9 +91,6 @@ func (nt *Net) Name() string { return nt.name }
 // N returns the number of nodes.
 func (nt *Net) N() int { return nt.n }
 
-// K returns the number of permutation symbols.
-func (nt *Net) K() int { return nt.k }
-
 // Ports returns the out-degree.
 func (nt *Net) Ports() int { return len(nt.nbr) }
 

@@ -13,7 +13,11 @@ func starSet(t *testing.T, k int) *gens.Set {
 	for i := 2; i <= k; i++ {
 		gs = append(gs, gens.Transposition(k, i))
 	}
-	return gens.MustNewSet(gs...)
+	set, err := gens.NewSet(gs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 func starNet(t *testing.T, k int) *Net {
@@ -27,7 +31,7 @@ func starNet(t *testing.T, k int) *Net {
 
 func TestFromSetNeighborTables(t *testing.T) {
 	nt := starNet(t, 4)
-	if nt.N() != 24 || nt.Ports() != 3 || nt.K() != 4 {
+	if nt.N() != 24 || nt.Ports() != 3 || nt.k != 4 {
 		t.Fatalf("params wrong: N=%d ports=%d", nt.N(), nt.Ports())
 	}
 	// Neighbor tables must agree with generator application.
@@ -59,9 +63,6 @@ func TestBitsetOps(t *testing.T) {
 	}
 	if !b.full(130) {
 		t.Fatal("all-set bitset not full")
-	}
-	if !b.has(129) || b.has(130) == true && false {
-		t.Fatal("has wrong")
 	}
 	a := newBitset(130)
 	a.set(77)

@@ -122,12 +122,6 @@ type ThroughputResult struct {
 	MeanRouteLen float64
 }
 
-// String renders the result on one line.
-func (r ThroughputResult) String() string {
-	return fmt.Sprintf("routes on %-14s %-12s pairs=%-8d %12.0f pairs/s meanlen=%.2f",
-		r.Net, r.Workload, r.Pairs, r.PairsPerSec, r.MeanRouteLen)
-}
-
 // Throughput routes every workload pair through the engine, fanned out
 // over GOMAXPROCS workers with per-worker route buffers, and verifies
 // each route end to end by replaying its ports through the network's

@@ -14,7 +14,7 @@ import (
 // transposition ports.
 func starAppendRoute(t *testing.T, nt *Net) AppendRouteFunc {
 	t.Helper()
-	k := nt.K()
+	k := nt.k
 	sg, err := star.New(k)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 )
 
 func BenchmarkRoute13Star(b *testing.B) {
-	g := MustNew(13)
+	g := newStar(b, 13)
 	r := rand.New(rand.NewSource(1))
 	u, v := perm.Random(r, 13), perm.Random(r, 13)
 	b.ResetTimer()
@@ -18,7 +18,7 @@ func BenchmarkRoute13Star(b *testing.B) {
 }
 
 func BenchmarkDistance13Star(b *testing.B) {
-	g := MustNew(13)
+	g := newStar(b, 13)
 	r := rand.New(rand.NewSource(2))
 	u, v := perm.Random(r, 13), perm.Random(r, 13)
 	b.ResetTimer()
@@ -28,7 +28,7 @@ func BenchmarkDistance13Star(b *testing.B) {
 }
 
 func BenchmarkSortToIdentity(b *testing.B) {
-	g := MustNew(13)
+	g := newStar(b, 13)
 	r := rand.New(rand.NewSource(3))
 	p := perm.Random(r, 13)
 	b.ResetTimer()

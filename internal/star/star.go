@@ -40,29 +40,14 @@ func New(k int) (*Graph, error) {
 	return &Graph{k: k, set: set}, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(k int) *Graph {
-	g, err := New(k)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Name returns e.g. "5-star".
 func (g *Graph) Name() string { return fmt.Sprintf("%d-star", g.k) }
-
-// K returns the number of symbols.
-func (g *Graph) K() int { return g.k }
 
 // N returns the number of nodes, k!.
 func (g *Graph) N() int64 { return perm.Factorial(g.k) }
 
 // Degree returns k−1.
 func (g *Graph) Degree() int { return g.k - 1 }
-
-// Diameter returns ⌊3(k−1)/2⌋.
-func (g *Graph) Diameter() int { return perm.StarDiameter(g.k) }
 
 // Set returns the generator set T₂..T_k.
 func (g *Graph) Set() *gens.Set { return g.set }
@@ -73,15 +58,6 @@ func (g *Graph) Gen(j int) gens.Generator {
 		panic(fmt.Sprintf("star: dimension %d out of range [2,%d]", j, g.k))
 	}
 	return g.set.At(j - 2)
-}
-
-// Neighbors returns the k−1 neighbors of p.
-func (g *Graph) Neighbors(p perm.Perm) []perm.Perm {
-	out := make([]perm.Perm, g.set.Len())
-	for i := range out {
-		out[i] = g.set.At(i).Apply(p)
-	}
-	return out
 }
 
 // Distance returns the exact distance between two nodes.
@@ -125,20 +101,6 @@ func (g *Graph) SortToIdentity(w perm.Perm) []gens.Generator {
 // vertex symmetry.
 func (g *Graph) Route(u, v perm.Perm) []gens.Generator {
 	return g.SortToIdentity(v.Inverse().Compose(u))
-}
-
-// Path materializes the node sequence of Route(u, v), inclusive of
-// both endpoints.
-func (g *Graph) Path(u, v perm.Perm) []perm.Perm {
-	seq := g.Route(u, v)
-	path := make([]perm.Perm, 0, len(seq)+1)
-	path = append(path, u.Clone())
-	cur := u
-	for _, gen := range seq {
-		cur = gen.Apply(cur)
-		path = append(path, cur)
-	}
-	return path
 }
 
 // Cayley returns the enumerated graph view (node IDs = Lehmer ranks),

@@ -8,6 +8,16 @@ import (
 	"supercayley/internal/perm"
 )
 
+// newStar is New for tests.
+func newStar(tb testing.TB, k int) *Graph {
+	tb.Helper()
+	g, err := New(k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(1); err == nil {
 		t.Error("New(1) accepted")
@@ -15,9 +25,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(perm.MaxK + 1); err == nil {
 		t.Error("New(21) accepted")
 	}
-	g := MustNew(5)
-	if g.K() != 5 || g.N() != 120 || g.Degree() != 4 || g.Diameter() != 6 {
-		t.Fatalf("5-star params wrong: K=%d N=%d deg=%d diam=%d", g.K(), g.N(), g.Degree(), g.Diameter())
+	g := newStar(t, 5)
+	if g.N() != 120 || g.Degree() != 4 {
+		t.Fatalf("5-star params wrong: N=%d deg=%d", g.N(), g.Degree())
 	}
 	if g.Name() != "5-star" {
 		t.Fatalf("Name = %q", g.Name())
@@ -25,22 +35,26 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestNeighborsCount(t *testing.T) {
-	g := MustNew(6)
+	g := newStar(t, 6)
+	cg, err := g.Cayley(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
-		p := perm.Random(r, 6)
-		nbrs := g.Neighbors(p)
+		p := int(perm.Random(r, 6).Rank())
+		nbrs := cg.Neighbors(p)
 		if len(nbrs) != 5 {
 			t.Fatalf("degree %d", len(nbrs))
 		}
-		seen := map[string]bool{}
+		seen := map[int]bool{}
 		for _, q := range nbrs {
-			if seen[q.String()] {
-				t.Fatalf("duplicate neighbor %v of %v", q, p)
+			if seen[q] {
+				t.Fatalf("duplicate neighbor %d of %d", q, p)
 			}
-			seen[q.String()] = true
-			if q.Equal(p) {
-				t.Fatalf("self loop at %v", p)
+			seen[q] = true
+			if q == p {
+				t.Fatalf("self loop at %d", p)
 			}
 		}
 	}
@@ -50,7 +64,7 @@ func TestSortToIdentityOptimal(t *testing.T) {
 	// The greedy cycle algorithm must achieve the closed-form
 	// distance exactly, for every permutation of k ≤ 7.
 	for k := 2; k <= 7; k++ {
-		g := MustNew(k)
+		g := newStar(t, k)
 		perm.All(k, func(p perm.Perm) bool {
 			seq := g.SortToIdentity(p)
 			if len(seq) != p.StarDistance() {
@@ -69,7 +83,7 @@ func TestSortToIdentityOptimal(t *testing.T) {
 }
 
 func TestRouteReachesDestination(t *testing.T) {
-	g := MustNew(8)
+	g := newStar(t, 8)
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 500; trial++ {
 		u, v := perm.Random(r, 8), perm.Random(r, 8)
@@ -87,33 +101,40 @@ func TestRouteReachesDestination(t *testing.T) {
 	}
 }
 
+// TestPathEndpoints walks each route through the enumerated Cayley
+// view: every hop must be an edge, and the walk must end at v.
 func TestPathEndpoints(t *testing.T) {
-	g := MustNew(6)
+	g := newStar(t, 6)
+	cg, err := g.Cayley(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		u, v := perm.Random(r, 6), perm.Random(r, 6)
-		path := g.Path(u, v)
-		if !path[0].Equal(u) || !path[len(path)-1].Equal(v) {
-			t.Fatalf("path endpoints wrong: %v", path)
-		}
-		// Consecutive nodes must be adjacent.
-		for i := 1; i < len(path); i++ {
+		cur := u.Clone()
+		for i, gen := range g.Route(u, v) {
+			next := gen.Apply(cur)
 			adjacent := false
-			for _, q := range g.Neighbors(path[i-1]) {
-				if q.Equal(path[i]) {
+			for _, q := range cg.Neighbors(int(cur.Rank())) {
+				if q == int(next.Rank()) {
 					adjacent = true
 					break
 				}
 			}
 			if !adjacent {
-				t.Fatalf("path step %d not an edge: %v -> %v", i, path[i-1], path[i])
+				t.Fatalf("path step %d not an edge: %v -> %v", i+1, cur, next)
 			}
+			cur = next
+		}
+		if !cur.Equal(v) {
+			t.Fatalf("path from %v ends at %v, want %v", u, cur, v)
 		}
 	}
 }
 
 func TestDistanceSymmetric(t *testing.T) {
-	g := MustNew(7)
+	g := newStar(t, 7)
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {
 		u, v := perm.Random(r, 7), perm.Random(r, 7)
@@ -124,7 +145,7 @@ func TestDistanceSymmetric(t *testing.T) {
 }
 
 func TestGenPanics(t *testing.T) {
-	g := MustNew(5)
+	g := newStar(t, 5)
 	for _, j := range []int{1, 6} {
 		func() {
 			defer func() {
@@ -141,7 +162,7 @@ func TestGenPanics(t *testing.T) {
 }
 
 func TestCayleyViewProperties(t *testing.T) {
-	g := MustNew(5)
+	g := newStar(t, 5)
 	cg, err := g.Cayley(200)
 	if err != nil {
 		t.Fatal(err)
@@ -150,14 +171,16 @@ func TestCayleyViewProperties(t *testing.T) {
 		t.Fatalf("order %d", cg.Order())
 	}
 	mat := graph.Materialize(cg)
-	if d, ok := graph.IsRegular(mat); !ok || d != 4 {
-		t.Fatalf("regularity: d=%d ok=%v", d, ok)
+	for v := 0; v < mat.Order(); v++ {
+		if d := len(mat.Neighbors(v)); d != 4 {
+			t.Fatalf("node %d has degree %d, want 4", v, d)
+		}
 	}
 	if !graph.IsUndirected(mat) {
 		t.Fatal("star graph should be undirected")
 	}
-	if diam, _ := graph.Eccentricity(mat, 0); diam != g.Diameter() {
-		t.Fatalf("diameter %d, want %d", diam, g.Diameter())
+	if diam := graph.StatsFrom(mat, 0).Ecc; diam != perm.StarDiameter(5) {
+		t.Fatalf("diameter %d, want %d", diam, perm.StarDiameter(5))
 	}
 	if !graph.LooksVertexSymmetric(mat, 12) {
 		t.Fatal("star graph failed vertex-symmetry profile check")
@@ -171,11 +194,12 @@ func TestCayleyViewProperties(t *testing.T) {
 func TestStarEdgesConnectPermsDifferingByFirstSymbolSwap(t *testing.T) {
 	// Structural definition check: u ~ v iff v equals u with
 	// positions 1 and i exchanged for some i ≥ 2.
-	g := MustNew(5)
+	g := newStar(t, 5)
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		u := perm.Random(r, 5)
-		for _, v := range g.Neighbors(u) {
+		for i := 0; i < g.Set().Len(); i++ {
+			v := g.Set().At(i).Apply(u)
 			diff := 0
 			for i := range u {
 				if u[i] != v[i] {

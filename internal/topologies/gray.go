@@ -36,15 +36,6 @@ func NewMixedGray(radices ...int) (*MixedGray, error) {
 	return &MixedGray{radices: append([]int(nil), radices...), weights: weights, order: order}, nil
 }
 
-// MustNewMixedGray panics on error.
-func MustNewMixedGray(radices ...int) *MixedGray {
-	g, err := NewMixedGray(radices...)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Order returns the product of the radices.
 func (g *MixedGray) Order() int { return g.order }
 
@@ -66,28 +57,4 @@ func (g *MixedGray) Digits(x int) []int {
 		}
 	}
 	return out
-}
-
-// Rank is the inverse of Digits.
-func (g *MixedGray) Rank(digits []int) int {
-	if len(digits) != len(g.radices) {
-		panic("topologies: gray digit count mismatch")
-	}
-	// Recover raw digits from most significant downwards: the prefix
-	// (in raw form) determines whether the current digit is reflected.
-	x := 0
-	prefix := 0 // raw value of all more-significant digits
-	for i := len(g.radices) - 1; i >= 0; i-- {
-		d := digits[i]
-		raw := d
-		if prefix%2 == 1 {
-			raw = g.radices[i] - 1 - d
-		}
-		if raw < 0 || raw >= g.radices[i] {
-			panic(fmt.Sprintf("topologies: gray digit %d out of range", i))
-		}
-		x += raw * g.weights[i]
-		prefix = prefix*g.radices[i] + raw
-	}
-	return x
 }

@@ -1,7 +1,7 @@
 // Package topologies implements the guest networks the paper embeds
 // into super Cayley graphs (Section 5): hypercubes, meshes (including
 // the 2×3×…×k factorial mesh), complete binary trees, bubble-sort
-// graphs, transposition networks, and rotator graphs.
+// graphs and transposition networks.
 package topologies
 
 import (
@@ -23,15 +23,6 @@ func NewHypercube(d int) (*Hypercube, error) {
 	return &Hypercube{d: d, buf: make([]int, d)}, nil
 }
 
-// MustNewHypercube is NewHypercube but panics on error.
-func MustNewHypercube(d int) *Hypercube {
-	h, err := NewHypercube(d)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Name returns e.g. "Q5".
 func (h *Hypercube) Name() string { return fmt.Sprintf("Q%d", h.d) }
 
@@ -41,12 +32,6 @@ func (h *Hypercube) D() int { return h.d }
 // Order returns 2^d.
 func (h *Hypercube) Order() int { return 1 << h.d }
 
-// Degree returns d.
-func (h *Hypercube) Degree() int { return h.d }
-
-// Diameter returns d.
-func (h *Hypercube) Diameter() int { return h.d }
-
 // Neighbors returns the d bit-flip neighbors of v.  The slice is
 // reused across calls.
 func (h *Hypercube) Neighbors(v int) []int {
@@ -54,30 +39,4 @@ func (h *Hypercube) Neighbors(v int) []int {
 		h.buf[b] = v ^ (1 << b)
 	}
 	return h.buf
-}
-
-// Distance returns the Hamming distance between u and v.
-func (h *Hypercube) Distance(u, v int) int {
-	x := uint(u ^ v)
-	d := 0
-	for x != 0 {
-		x &= x - 1
-		d++
-	}
-	return d
-}
-
-// GrayCode returns the i-th reflected binary Gray code word.
-// Consecutive words differ in exactly one bit, so the Gray sequence
-// walks a Hamiltonian path of the hypercube.
-func GrayCode(i int) int { return i ^ (i >> 1) }
-
-// GrayRank is the inverse of GrayCode.
-func GrayRank(g int) int {
-	r := 0
-	for g != 0 {
-		r ^= g
-		g >>= 1
-	}
-	return r
 }

@@ -42,18 +42,9 @@ func NewMesh(dims ...int) (*Mesh, error) {
 	}, nil
 }
 
-// MustNewMesh is NewMesh but panics on error.
-func MustNewMesh(dims ...int) *Mesh {
-	m, err := NewMesh(dims...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // NewFactorialMesh returns the 2×3×4×…×k mesh of Corollary 7, whose
 // k!/1! nodes biject with the permutations of 1..k via the factorial
-// number system (see MeshToPerm / PermToMesh).
+// number system (see MeshToPerm).
 func NewFactorialMesh(k int) (*Mesh, error) {
 	if k < 2 || k > 12 {
 		return nil, fmt.Errorf("topologies: factorial mesh k=%d out of range [2,12]", k)
@@ -73,9 +64,6 @@ func (m *Mesh) Name() string {
 	}
 	return "mesh(" + strings.Join(parts, "x") + ")"
 }
-
-// Dims returns a copy of the dimension sizes.
-func (m *Mesh) Dims() []int { return append([]int(nil), m.dims...) }
 
 // Order returns the number of nodes.
 func (m *Mesh) Order() int { return m.order }
@@ -120,30 +108,6 @@ func (m *Mesh) Neighbors(v int) []int {
 	return m.buf
 }
 
-// Distance returns the L1 distance between two nodes.
-func (m *Mesh) Distance(u, v int) int {
-	d := 0
-	for _, size := range m.dims {
-		cu, cv := u%size, v%size
-		u, v = u/size, v/size
-		if cu > cv {
-			d += cu - cv
-		} else {
-			d += cv - cu
-		}
-	}
-	return d
-}
-
-// Diameter returns Σ (dimᵢ − 1).
-func (m *Mesh) Diameter() int {
-	d := 0
-	for _, size := range m.dims {
-		d += size - 1
-	}
-	return d
-}
-
 // MeshToPerm maps a factorial-mesh node to a permutation of 1..k via
 // the factorial number system: the mesh coordinates (c₀..c₍k₋₂₎) with
 // cᵢ ∈ {0..i+1} are read as the Lehmer digits of the permutation
@@ -158,20 +122,4 @@ func (m *Mesh) MeshToPerm(v int) perm.Perm {
 		rank += int64(coords[i]) * perm.Factorial(i+1)
 	}
 	return perm.Unrank(k, rank)
-}
-
-// PermToMesh is the inverse of MeshToPerm.
-func (m *Mesh) PermToMesh(p perm.Perm) int {
-	k := len(m.dims) + 1
-	if p.K() != k {
-		panic(fmt.Sprintf("topologies: PermToMesh wants %d symbols, got %d", k, p.K()))
-	}
-	rank := p.Rank()
-	coords := make([]int, k-1)
-	for i := k - 2; i >= 0; i-- {
-		f := perm.Factorial(i + 1)
-		coords[i] = int(rank / f)
-		rank %= f
-	}
-	return m.ID(coords)
 }

@@ -1,6 +1,7 @@
 package topologies
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -8,9 +9,17 @@ import (
 	"supercayley/internal/perm"
 )
 
+// must returns v, panicking on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestHypercubeBasics(t *testing.T) {
-	h := MustNewHypercube(4)
-	if h.Order() != 16 || h.Degree() != 4 || h.Diameter() != 4 || h.Name() != "Q4" {
+	h := must(NewHypercube(4))
+	if h.Order() != 16 || h.Name() != "Q4" {
 		t.Fatalf("Q4 params wrong")
 	}
 	if _, err := NewHypercube(-1); err == nil {
@@ -20,35 +29,34 @@ func TestHypercubeBasics(t *testing.T) {
 		t.Error("Q31 accepted")
 	}
 	mat := graph.Materialize(h)
-	if d := graph.Diameter(mat); d != 4 {
-		t.Fatalf("BFS diameter %d", d)
-	}
 	if !graph.IsUndirected(mat) || !graph.LooksVertexSymmetric(mat, 8) {
 		t.Fatal("Q4 structure wrong")
 	}
-	if h.Distance(0b0101, 0b1100) != 2 {
-		t.Fatal("Hamming distance wrong")
+	// Vertex-symmetric, so the eccentricity of node 0 is the diameter.
+	if d := graph.StatsFrom(mat, 0).Ecc; d != 4 {
+		t.Fatalf("BFS diameter %d", d)
 	}
 }
 
+// TestGrayCode checks the mixed-radix Gray code over radix 2 against
+// the reflected binary Gray code i ^ (i >> 1).
 func TestGrayCode(t *testing.T) {
-	for i := 0; i < 256; i++ {
-		if GrayRank(GrayCode(i)) != i {
-			t.Fatalf("GrayRank(GrayCode(%d)) != %d", i, i)
+	g := must(NewMixedGray(2, 2, 2, 2, 2, 2, 2, 2))
+	for i := 0; i < g.Order(); i++ {
+		word := 0
+		for b, d := range g.Digits(i) {
+			word |= d << b
 		}
-	}
-	h := MustNewHypercube(8)
-	for i := 1; i < 256; i++ {
-		if h.Distance(GrayCode(i-1), GrayCode(i)) != 1 {
-			t.Fatalf("Gray neighbors %d,%d not adjacent", i-1, i)
+		if want := i ^ (i >> 1); word != want {
+			t.Fatalf("Gray word %d = %b, want %b", i, word, want)
 		}
 	}
 }
 
 func TestMeshBasics(t *testing.T) {
-	m := MustNewMesh(3, 4, 2)
-	if m.Order() != 24 || m.Diameter() != 2+3+1 {
-		t.Fatalf("mesh params wrong: %d %d", m.Order(), m.Diameter())
+	m := must(NewMesh(3, 4, 2))
+	if m.Order() != 24 {
+		t.Fatalf("mesh order %d", m.Order())
 	}
 	if m.Name() != "mesh(3x4x2)" {
 		t.Fatalf("name %q", m.Name())
@@ -65,21 +73,22 @@ func TestMeshBasics(t *testing.T) {
 			t.Fatalf("coords round-trip failed for %d", v)
 		}
 	}
-	// BFS diameter matches formula.
-	if d := graph.Diameter(graph.Materialize(m)); d != m.Diameter() {
-		t.Fatalf("BFS diameter %d, want %d", d, m.Diameter())
-	}
-	// L1 distance matches BFS from node 0.
+	// BFS from the corner 0 reaches each node at the sum of its
+	// coordinates (its L1 distance).
 	dist := graph.BFS(m, 0)
 	for v := 0; v < m.Order(); v++ {
-		if dist[v] != m.Distance(0, v) {
-			t.Fatalf("distance mismatch at %d", v)
+		l1 := 0
+		for _, c := range m.Coords(v) {
+			l1 += c
+		}
+		if dist[v] != l1 {
+			t.Fatalf("distance mismatch at %d: BFS %d, L1 %d", v, dist[v], l1)
 		}
 	}
 }
 
 func TestMeshNeighborsSymmetric(t *testing.T) {
-	m := MustNewMesh(4, 3)
+	m := must(NewMesh(4, 3))
 	mat := graph.Materialize(m)
 	if !graph.IsUndirected(mat) {
 		t.Fatal("mesh should be undirected")
@@ -113,16 +122,13 @@ func TestFactorialMeshBijection(t *testing.T) {
 				t.Fatalf("MeshToPerm not injective at %d", v)
 			}
 			seen[r] = true
-			if m.PermToMesh(p) != v {
-				t.Fatalf("PermToMesh round-trip failed at %d", v)
-			}
 		}
 	}
 }
 
 func TestCompleteBinaryTree(t *testing.T) {
-	tr := MustNewCompleteBinaryTree(3)
-	if tr.Order() != 15 || tr.Diameter() != 6 || tr.Name() != "CBT(3)" {
+	tr := must(NewCompleteBinaryTree(3))
+	if tr.Order() != 15 || tr.Name() != "CBT(3)" {
 		t.Fatalf("CBT params wrong")
 	}
 	if _, err := NewCompleteBinaryTree(-1); err == nil {
@@ -132,7 +138,12 @@ func TestCompleteBinaryTree(t *testing.T) {
 	if !graph.IsUndirected(mat) {
 		t.Fatal("tree should be undirected")
 	}
-	if d := graph.Diameter(mat); d != 6 {
+	// The root sits at depth 0, so its eccentricity is the height; a
+	// leaf's is the diameter 2·height.
+	if d := graph.StatsFrom(mat, 0).Ecc; d != 3 {
+		t.Fatalf("root eccentricity %d", d)
+	}
+	if d := graph.StatsFrom(mat, 14).Ecc; d != 6 {
 		t.Fatalf("diameter %d", d)
 	}
 	// Root degree 2, leaves degree 1, internal 3.
@@ -145,16 +156,12 @@ func TestCompleteBinaryTree(t *testing.T) {
 	if len(mat.Neighbors(1)) != 3 {
 		t.Fatal("internal degree")
 	}
-	if tr.Level(0) != 0 || tr.Level(2) != 1 || tr.Level(14) != 3 {
-		t.Fatal("levels wrong")
-	}
 }
 
 func TestInorderIsPermutationWithDilation2InHypercube(t *testing.T) {
 	// The inorder labeling embeds CBT(h) into Q_(h+1) with dilation 2.
 	for h := 1; h <= 6; h++ {
-		tr := MustNewCompleteBinaryTree(h)
-		q := MustNewHypercube(h + 1)
+		tr := must(NewCompleteBinaryTree(h))
 		seen := make([]bool, tr.Order())
 		for v := 0; v < tr.Order(); v++ {
 			in := tr.Inorder(v)
@@ -165,7 +172,7 @@ func TestInorderIsPermutationWithDilation2InHypercube(t *testing.T) {
 		}
 		for v := 1; v < tr.Order(); v++ {
 			p := (v - 1) / 2
-			if d := q.Distance(tr.Inorder(v), tr.Inorder(p)); d > 2 {
+			if d := bits.OnesCount(uint(tr.Inorder(v) ^ tr.Inorder(p))); d > 2 {
 				t.Fatalf("h=%d tree edge (%d,%d) dilation %d > 2", h, p, v, d)
 			}
 		}
@@ -173,8 +180,8 @@ func TestInorderIsPermutationWithDilation2InHypercube(t *testing.T) {
 }
 
 func TestTranspositionNetwork(t *testing.T) {
-	tn := MustNewTranspositionNetwork(5)
-	if tn.Degree() != 10 || tn.Diameter() != 4 || tn.N() != 120 {
+	tn := must(NewTranspositionNetwork(5))
+	if tn.Degree() != 10 || tn.N() != 120 {
 		t.Fatalf("5-TN params wrong")
 	}
 	if _, err := NewTranspositionNetwork(1); err == nil {
@@ -184,32 +191,28 @@ func TestTranspositionNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := graph.Materialize(cg)
-	if d := graph.Diameter(mat); d != 4 {
+	if cg.Degree() != tn.Degree() {
+		t.Fatalf("5-TN degree %d, want %d", cg.Degree(), tn.Degree())
+	}
+	// Vertex-symmetric, so the eccentricity of node 0 is the diameter.
+	if d := graph.StatsFrom(graph.Materialize(cg), 0).Ecc; d != 4 {
 		t.Fatalf("BFS diameter %d, want 4", d)
 	}
-	if deg, ok := graph.IsRegular(mat); !ok || deg != 10 {
-		t.Fatal("5-TN regularity wrong")
-	}
-	// Exact distance formula vs BFS.
-	dist := graph.BFS(mat, 0)
-	id := perm.Identity(5)
-	perm.All(5, func(p perm.Perm) bool {
-		if dist[p.Rank()] != tn.Distance(p, id) {
-			t.Fatalf("TN distance mismatch at %v: BFS %d formula %d", p, dist[p.Rank()], tn.Distance(p, id))
-		}
-		return true
-	})
 }
 
+// TestTNRouteOptimal checks each route's length against the BFS
+// distance of the Cayley graph: the route from u to v has as many
+// moves as v⁻¹∘u lies away from the identity, node 0.
 func TestTNRouteOptimal(t *testing.T) {
-	tn := MustNewTranspositionNetwork(7)
+	tn := must(NewTranspositionNetwork(7))
+	cg := must(tn.Cayley(0))
+	dist := graph.BFS(graph.Materialize(cg), 0)
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		u, v := perm.Random(r, 7), perm.Random(r, 7)
 		seq := tn.Route(u, v)
-		if len(seq) != tn.Distance(u, v) {
-			t.Fatalf("TN route %d moves, distance %d", len(seq), tn.Distance(u, v))
+		if want := dist[v.Inverse().Compose(u).Rank()]; len(seq) != want {
+			t.Fatalf("TN route %d moves, distance %d", len(seq), want)
 		}
 		cur := u.Clone()
 		for _, g := range seq {
@@ -222,8 +225,8 @@ func TestTNRouteOptimal(t *testing.T) {
 }
 
 func TestBubbleSortGraph(t *testing.T) {
-	b := MustNewBubbleSort(5)
-	if b.Degree() != 4 || b.Diameter() != 10 || b.N() != 120 {
+	b := must(NewBubbleSort(5))
+	if b.Degree() != 4 || b.N() != 120 {
 		t.Fatal("bubble-sort params wrong")
 	}
 	if _, err := NewBubbleSort(1); err == nil {
@@ -233,78 +236,32 @@ func TestBubbleSortGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := graph.Materialize(cg)
-	if d := graph.Diameter(mat); d != 10 {
+	// The diameter k(k−1)/2 is the inversion count of the reversal.
+	if d := graph.StatsFrom(graph.Materialize(cg), 0).Ecc; d != 10 {
 		t.Fatalf("BFS diameter %d, want 10", d)
 	}
-	// Exact distance formula (inversions) vs BFS.
-	dist := graph.BFS(mat, 0)
-	id := perm.Identity(5)
-	perm.All(5, func(p perm.Perm) bool {
-		if dist[p.Rank()] != b.Distance(p, id) {
-			t.Fatalf("bubble distance mismatch at %v", p)
-		}
-		return true
-	})
 }
 
-func TestBubbleSortRouteOptimal(t *testing.T) {
-	b := MustNewBubbleSort(6)
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		u, v := perm.Random(r, 6), perm.Random(r, 6)
-		seq := b.Route(u, v)
-		if len(seq) != b.Distance(u, v) {
-			t.Fatalf("bubble route %d moves, distance %d", len(seq), b.Distance(u, v))
-		}
-		cur := u.Clone()
-		for _, g := range seq {
-			cur = g.Apply(cur)
-		}
-		if !cur.Equal(v) {
-			t.Fatal("bubble route wrong destination")
-		}
-	}
-}
-
+// TestBubbleSortSubgraphOfTN checks every arc of the 5-bubble-sort
+// graph against the 5-TN's arcs out of the same node.
 func TestBubbleSortSubgraphOfTN(t *testing.T) {
-	b := MustNewBubbleSort(5)
-	tn := MustNewTranspositionNetwork(5)
-	for _, g := range b.Set().Generators() {
-		if tn.Set().IndexOfAction(g) < 0 {
-			t.Fatalf("bubble generator %s not in TN", g.Name())
+	b := must(must(NewBubbleSort(5)).Cayley(0))
+	tn := must(must(NewTranspositionNetwork(5)).Cayley(0))
+	for v := 0; v < b.Order(); v++ {
+		tnArcs := map[int]bool{}
+		for _, w := range tn.Neighbors(v) {
+			tnArcs[w] = true
 		}
-	}
-}
-
-func TestRotatorGraph(t *testing.T) {
-	r := MustNewRotator(5)
-	if r.Degree() != 4 || r.N() != 120 {
-		t.Fatal("rotator params wrong")
-	}
-	if _, err := NewRotator(1); err == nil {
-		t.Error("1-rotator accepted")
-	}
-	cg, err := r.Cayley(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := graph.Materialize(cg)
-	// Corbett: the k-rotator has diameter k−1 and is strongly
-	// connected but directed.
-	if graph.IsUndirected(mat) {
-		t.Fatal("rotator should be directed")
-	}
-	if d := graph.Diameter(mat); d != 4 {
-		t.Fatalf("rotator diameter %d, want 4", d)
-	}
-	if s := graph.StatsFrom(mat, 0); !s.Connected {
-		t.Fatal("rotator should be strongly connected")
+		for _, w := range b.Neighbors(v) {
+			if !tnArcs[w] {
+				t.Fatalf("bubble arc %d→%d is not a 5-TN arc", v, w)
+			}
+		}
 	}
 }
 
 func TestMeshIDPanicsOutOfRange(t *testing.T) {
-	m := MustNewMesh(2, 2)
+	m := must(NewMesh(2, 2))
 	defer func() {
 		if recover() == nil {
 			t.Error("ID out of range did not panic")

@@ -25,26 +25,11 @@ func NewCompleteBinaryTree(height int) (*CompleteBinaryTree, error) {
 	}, nil
 }
 
-// MustNewCompleteBinaryTree is NewCompleteBinaryTree but panics on error.
-func MustNewCompleteBinaryTree(height int) *CompleteBinaryTree {
-	t, err := NewCompleteBinaryTree(height)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name returns e.g. "CBT(5)".
 func (t *CompleteBinaryTree) Name() string { return fmt.Sprintf("CBT(%d)", t.height) }
 
-// Height returns the tree height.
-func (t *CompleteBinaryTree) Height() int { return t.height }
-
 // Order returns 2^(h+1) − 1.
 func (t *CompleteBinaryTree) Order() int { return t.order }
-
-// Diameter returns 2·height.
-func (t *CompleteBinaryTree) Diameter() int { return 2 * t.height }
 
 // Neighbors returns parent and children of v.  The slice is reused
 // across calls.
@@ -60,16 +45,6 @@ func (t *CompleteBinaryTree) Neighbors(v int) []int {
 		t.buf = append(t.buf, c)
 	}
 	return t.buf
-}
-
-// Level returns the depth of node v (root = 0).
-func (t *CompleteBinaryTree) Level(v int) int {
-	level := 0
-	for v > 0 {
-		v = (v - 1) / 2
-		level++
-	}
-	return level
 }
 
 // Inorder returns the inorder index of node v (heap index), i.e. the
