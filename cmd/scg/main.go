@@ -82,7 +82,7 @@ commands:
   bag       solve a scrambled ball-arrangement game
   tasks     simulate MNB / TE communication tasks (Corollaries 2–3)
   faults    inject node/link faults, reroute adaptively, report degradation
-  serve     routing service + debug endpoint: /route, /route/bulk (admission-controlled), /metrics, /metrics.json, /trace/routes, /debug/vars, /debug/pprof/*; -shards/-store for the sharded engine with warm-state snapshots
+  serve     routing service + debug endpoint: /route, /route/bulk (admission-controlled), /metrics, /metrics.json, /trace/routes, /debug/vars, /debug/pprof/*; -shards/-shard-residency for the sharded engine
   stats     route a seeded workload, then dump the metrics registry once
   export    write the network as Graphviz DOT
   compare   degree/diameter table across families and k

@@ -8,7 +8,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -103,7 +102,7 @@ func routeWorkload(nw *core.Network, pairs int, seed int64, skew float64) (sim.T
 
 // routeRankWorkload routes a seeded zipfian workload through a fresh
 // cached router by Lehmer rank — the rank-addressed entry point is the
-// one that samples the deep stage timers (cache hit, table walk,
+// one that samples the deep stage timers (cache hit, cache miss,
 // kernel), so `scg stats -stages` has a breakdown to print.
 func routeRankWorkload(nw *core.Network, pairs int, seed int64, skew float64) (float64, error) {
 	cr := core.NewCachedRouter(nw, core.CacheConfig{})
@@ -160,85 +159,38 @@ func (sf *serveFlags) serviceConfig() serve.ServiceConfig {
 // (AST-rostered like serveFlags).
 type shardFlags struct {
 	shards    *int
-	store     *string
 	residency *int64
 }
 
 func addShardFlags(fs *flag.FlagSet) *shardFlags {
 	return &shardFlags{
 		shards:    fs.Int("shards", 1, "shard workers partitioning the quotient rank space (rounded to a power of two; 1 = single-node router)"),
-		store:     fs.String("store", "", "warm-state snapshot directory: restored on start, drained back on shutdown"),
 		residency: fs.Int64("shard-residency", 0, "per-shard banded-table residency budget in bytes; > 0 also switches every shard to its own banded table (0 = unlimited, shared dense table at small k)"),
 	}
 }
 
-// router builds what the flags describe: (nil, nil) at the defaults —
-// the caller keeps its plain CachedRouter path — else a shard.Engine,
-// warm-restored from -store when a snapshot is there.
-func (shf *shardFlags) router(nw *core.Network) (core.Router, *shard.Engine, error) {
-	if *shf.shards <= 1 && *shf.store == "" && *shf.residency == 0 {
-		return nil, nil, nil
+// engine builds what the flags describe: nil at the defaults — the
+// caller keeps its plain CachedRouter path — else a shard.Engine.
+func (shf *shardFlags) engine(nw *core.Network) (*shard.Engine, error) {
+	if *shf.shards <= 1 && *shf.residency == 0 {
+		return nil, nil
 	}
-	eng, err := shard.New(nw, shard.Config{
+	return shard.New(nw, shard.Config{
 		Shards:             *shf.shards,
 		ShardResidentBytes: *shf.residency,
 		// A budget only binds banded tables, so asking for one asks
 		// for the per-shard banded configuration.
 		ForceBanded: *shf.residency > 0,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if *shf.store != "" {
-		st, err := shard.NewFileStore(*shf.store)
-		if err != nil {
-			return nil, nil, err
-		}
-		t0 := time.Now()
-		rst, err := eng.RestoreFrom(st)
-		switch {
-		case errors.Is(err, shard.ErrNotFound):
-			fmt.Printf("scg: no warm state in %s, starting cold\n", st.Dir())
-		case err != nil:
-			return nil, nil, fmt.Errorf("restoring warm state from %s: %w", st.Dir(), err)
-		default:
-			fmt.Printf("scg: warm restart from %s in %s (%d cache entries, %d table bytes, %d shard tables)\n",
-				st.Dir(), time.Since(t0).Round(time.Millisecond), rst.CacheEntries, rst.TableBytes, rst.TablesLoaded)
-		}
-	}
-	return eng, eng, nil
-}
-
-// snapshot drains the engine's warm state back into -store; a no-op
-// without an engine or a store.
-func (shf *shardFlags) snapshot(eng *shard.Engine) error {
-	if eng == nil || *shf.store == "" {
-		return nil
-	}
-	st, err := shard.NewFileStore(*shf.store)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	saved, err := eng.SaveTo(st)
-	if err != nil {
-		return fmt.Errorf("draining warm state to %s: %w", st.Dir(), err)
-	}
-	fmt.Printf("scg: drained warm state to %s in %s (%d cache entries, %d table bytes, %d artifacts)\n",
-		st.Dir(), time.Since(t0).Round(time.Millisecond), saved.CacheEntries, saved.TableBytes, saved.Artifacts)
-	return nil
 }
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8650", "listen address (use :0 for an ephemeral port)")
 	sample := fs.Uint64("trace-sample", 64, "route-trace sampling interval (power of two; 1 = every route)")
-	warm := fs.Int("warm", 0, "route this many seeded pairs on -family before serving (0 = none)")
 	nf := addNetFlags(fs)
 	sf := addServeFlags(fs)
 	shf := addShardFlags(fs)
-	seed := fs.Int64("seed", 1, "workload seed for -warm")
-	skew := fs.Float64("skew", 1.2, "zipf exponent for -warm (> 1)")
 	fs.Parse(args)
 	if *sample == 0 || *sample&(*sample-1) != 0 {
 		return fmt.Errorf("-trace-sample must be a power of two, got %d", *sample)
@@ -248,19 +200,14 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *warm > 0 {
-		res, err := routeWorkload(nw, *warm, *seed, *skew)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scg serve: warmed with %d pairs on %s (mean route len %.2f)\n",
-			res.Pairs, nw.Name(), res.MeanRouteLen)
-	}
-	router, eng, err := shf.router(nw)
+	eng, err := shf.engine(nw)
 	if err != nil {
 		return err
 	}
-	if router == nil {
+	var router core.Router
+	if eng != nil {
+		router = eng
+	} else {
 		router = core.NewCachedRouter(nw, core.CacheConfig{})
 	}
 	// Rolling-window telemetry: the window ring's ticker feeds the
@@ -299,9 +246,6 @@ func cmdServe(args []string) error {
 	select {
 	case err := <-errc:
 		svc.Drain()
-		if serr := shf.snapshot(eng); serr != nil && err == nil {
-			err = serr
-		}
 		return err
 	case <-ctx.Done():
 		stop()
@@ -310,11 +254,6 @@ func cmdServe(args []string) error {
 		defer cancel()
 		err := srv.Shutdown(shutdownCtx)
 		svc.Drain()
-		// No job routes any more, so the snapshot sees the final warm
-		// state.
-		if serr := shf.snapshot(eng); serr != nil && err == nil {
-			err = serr
-		}
 		fmt.Println("scg serve: drained")
 		return err
 	}

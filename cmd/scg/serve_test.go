@@ -95,7 +95,7 @@ func TestServeFlagRoster(t *testing.T) {
 // exposes with the same exact-roster discipline.
 func TestShardFlagRoster(t *testing.T) {
 	flags := flagRegistrations(t, "serve.go", "addShardFlags")
-	want := []string{"shards", "store", "shard-residency"}
+	want := []string{"shards", "shard-residency"}
 	for _, name := range want {
 		usage, ok := flags[name]
 		if !ok {
@@ -106,6 +106,25 @@ func TestShardFlagRoster(t *testing.T) {
 	}
 	if len(flags) != len(want) {
 		t.Errorf("addShardFlags registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
+	}
+}
+
+// TestServeCmdFlagRoster pins cmdServe's own knobs with the same
+// exact-roster discipline; the network, service and shard flags live
+// in addNetFlags, addServeFlags and addShardFlags.
+func TestServeCmdFlagRoster(t *testing.T) {
+	flags := flagRegistrations(t, "serve.go", "cmdServe")
+	want := []string{"addr", "trace-sample"}
+	for _, name := range want {
+		usage, ok := flags[name]
+		if !ok {
+			t.Errorf("cmdServe no longer registers -%s", name)
+		} else if usage == "" {
+			t.Errorf("-%s has an empty usage string", name)
+		}
+	}
+	if len(flags) != len(want) {
+		t.Errorf("cmdServe registers %d flags, roster lists %d — update the roster test", len(flags), len(want))
 	}
 }
 

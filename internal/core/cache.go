@@ -254,24 +254,6 @@ func (sh *routeShard) moveToFront(e *routeEntry) {
 	sh.pushFront(e)
 }
 
-// Range calls fn for every cached entry, shard by shard, most recently
-// used first within a shard — the order a warm-state serializer wants,
-// so that reloading under a smaller capacity keeps the hottest routes.
-// fn runs under the entry's shard mutex: it must not call back into
-// the cache, and must not retain steps (serialize or copy it).  Only
-// exact (rank-keyed) caches can be meaningfully rehydrated, which is
-// the sharded engine's regime (k ≤ RankKeyMaxK).
-func (c *RouteCache) Range(fn func(key uint64, steps []gens.GenIndex)) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for e := sh.head; e != nil; e = e.next {
-			fn(e.key, e.steps)
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Stats sums the per-shard counters and records the shard-population
 // extrema.
 func (c *RouteCache) Stats() CacheStats {

@@ -77,14 +77,12 @@ var (
 		"generator steps emitted by the RouteInto kernel")
 	mScratchNew = obs.Default.Counter("scg_route_scratch_new_total",
 		"RouteScratch values newly allocated by router pools (pool recycling keeps this flat)")
-	mTableServed = obs.Default.Counter("scg_route_table_served_total",
-		"routes served by the precomputed quotient table ahead of the LRU")
 )
 
 // Pipeline stages of the deep routing path, timed for route-trace
 // sampled pairs (see RouteScratch.timed).  Exported so the shard
 // engine attributes its per-worker cache and kernel time to the same
-// stages.
+// stages; only the shard engine's tables time table_walk.
 var (
 	StageCacheHit  = obs.NewStage("route_cache_hit")
 	StageCacheMiss = obs.NewStage("route_cache_miss")

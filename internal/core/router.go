@@ -17,16 +17,9 @@ import (
 // generator indices; Set().Decode recovers the labelled sequence, and
 // the indices are exactly the sim package's port numbers.
 type CachedRouter struct {
-	nw    *Network
-	cache *RouteCache
-	// table, when non-nil, is consulted before the cache (see table.go:
-	// fall-through is table → LRU → greedy kernel).  rankTable is the
-	// same table seen through the optional RankTable extension (set by
-	// UseTable when the assertion holds), letting AppendRouteRanks skip
-	// the two UnrankInto calls per pair.
-	table     QuotientTable
-	rankTable RankTable
-	scratch   sync.Pool // *RouteScratch
+	nw      *Network
+	cache   *RouteCache
+	scratch sync.Pool // *RouteScratch
 }
 
 // NewCachedRouter builds a router for nw; the zero CacheConfig picks
@@ -90,17 +83,6 @@ func (cr *CachedRouter) appendRoute(dst []gens.GenIndex, u, v perm.Perm, s *Rout
 	}
 	v.InverseInto(s.inv)
 	s.inv.ComposeInto(s.w, u)
-	if t := cr.table; t != nil {
-		if out, ok := t.AppendQuotientRoute(dst, s.w); ok {
-			s.hit = true
-			mTableServed.Inc()
-			if s.timed {
-				StageTableWalk.Observe(int(t0), uint64(obs.NowNs()-t0))
-			}
-			return out
-		}
-		// Declined (uncovered band): s.w is intact, fall through.
-	}
 	key := cr.quotientKey(s.w)
 	if out, ok := cr.cache.get(dst, key, s.w); ok {
 		s.hit = true
@@ -143,36 +125,15 @@ func (cr *CachedRouter) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64
 	}
 	s := cr.scratch.Get().(*RouteScratch)
 	// One sampling decision covers both the route tracer and the deep
-	// stage timers: sampled pairs time their table/cache/kernel phases
-	// into the scg_stage_* histograms (see appendRoute).  The sampler
+	// stage timers: sampled pairs time their cache/kernel phases into
+	// the scg_stage_* histograms (see appendRoute).  The sampler
 	// answers false whenever telemetry is disabled.
 	sampled := obs.RouteTrace.Sampled(uint64(src)<<32 ^ uint64(dstRank))
 	s.timed = sampled
 	mark := len(dst)
-	if rt := cr.rankTable; rt != nil {
-		// Rank-addressed fast lane: the table resolves both endpoints
-		// from its own slab, so neither UnrankInto runs.
-		var t0 int64
-		if s.timed {
-			t0 = obs.NowNs()
-		}
-		if out, ok := rt.AppendRouteRanks(dst, src, dstRank); ok {
-			dst = out
-			s.hit = true
-			mTableServed.Inc()
-			if s.timed {
-				StageTableWalk.Observe(int(src), uint64(obs.NowNs()-t0))
-			}
-		} else {
-			perm.UnrankInto(s.u, src)
-			perm.UnrankInto(s.v, dstRank)
-			dst = cr.appendRoute(dst, s.u, s.v, s)
-		}
-	} else {
-		perm.UnrankInto(s.u, src)
-		perm.UnrankInto(s.v, dstRank)
-		dst = cr.appendRoute(dst, s.u, s.v, s)
-	}
+	perm.UnrankInto(s.u, src)
+	perm.UnrankInto(s.v, dstRank)
+	dst = cr.appendRoute(dst, s.u, s.v, s)
 	hops := len(dst) - mark
 	// One scratch-page observation per pair (flushed to the histogram
 	// striped on the source rank, so parallel RouteMany workers spread

@@ -28,10 +28,8 @@
 // duplicate); k ≥ 10 — or ForceBanded, which `scg serve
 // -shard-residency` sets — gives every shard a banded table under
 // Config.ShardResidentBytes, with budget refusals declining to the
-// shard's cache and kernel.
-// persist.go adds the warm-state round trip: a Store seam (memory or
-// file-backed) each shard saves its table bands and MRU-ordered cache
-// entries into on drain, and faults them back from on restore.
+// shard's kernel.  Warm state lives in process memory only: a new
+// engine starts cold.
 package shard
 
 import (
@@ -132,10 +130,9 @@ type worker struct {
 // Engine is the sharded routing engine.  It implements core.Router and
 // is safe for concurrent use once New returns.
 type Engine struct {
-	nw       *core.Network
-	n        int64
-	bandBits uint
-	mask     uint64
+	nw   *core.Network
+	n    int64
+	mask uint64
 	// dense is the shared immutable fast-lane table (k ≤ FastLaneMaxK
 	// without ForceBanded), consulted by every worker; nil in banded
 	// configurations.
@@ -166,10 +163,9 @@ func New(nw *core.Network, cfg Config) (*Engine, error) {
 		bb = autoBandBits(nw.N())
 	}
 	e := &Engine{
-		nw:       nw,
-		n:        nw.N(),
-		bandBits: bb,
-		mask:     uint64(np - 1),
+		nw:   nw,
+		n:    nw.N(),
+		mask: uint64(np - 1),
 	}
 	ccfg := core.CacheConfig{Shards: cfg.CacheShards, ShardEntries: cfg.CacheEntries}
 	if ccfg.Shards <= 0 {
@@ -317,7 +313,7 @@ func (wk *worker) appendCold(e *Engine, dst []gens.GenIndex, key uint64, src, ds
 		if timed {
 			tw = obs.NowNs()
 		}
-		// A decline (budget-refused or absent band) leaves w intact.
+		// A decline (a budget-refused start band) leaves w intact.
 		out, served = t.AppendQuotientRoute(dst, s.w)
 		if timed && served {
 			core.StageTableWalk.Observe(wk.id, uint64(obs.NowNs()-tw))

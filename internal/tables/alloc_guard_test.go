@@ -1,8 +1,7 @@
 //go:build !race
 
-// Allocation-regression guards for the table lookup loop, tagged off
-// under the race detector (instrumentation inflates every count and
-// sync.Pool deliberately drops the router's pooled scratch).
+// Allocation-regression guards for the table lookup loops, tagged off
+// under the race detector (instrumentation inflates every count).
 
 package tables
 
@@ -39,37 +38,27 @@ func TestDenseLookupAllocFree(t *testing.T) {
 	}
 }
 
-// TestRouterTableWarmAllocFree guards the full routing entry point
-// with the table installed: rank unranking, quotient formation, table
-// walk, and telemetry, end to end through CachedRouter.
-func TestRouterTableWarmAllocFree(t *testing.T) {
+// TestRankLaneAllocFree guards the rank-addressed lane end to end:
+// Table.AppendRouteRanks, the call the shard engine's cold path makes
+// — two slab reads, quotient formation, the successor chase and
+// telemetry — with a preallocated destination.
+func TestRankLaneAllocFree(t *testing.T) {
 	nw := core.MustNew(core.MS, 7, 1)
 	tab, err := Build(nw, Config{Mode: ModeDense})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	cr, err := core.NewCachedRouterWithTable(nw, core.CacheConfig{}, core.TableConfig{Table: tab})
-	if err != nil {
-		t.Fatalf("NewCachedRouterWithTable: %v", err)
-	}
 	dst := make([]gens.GenIndex, 0, 256)
 	n := nw.N()
-	ranks := make([]int64, 64)
-	for i := range ranks {
-		ranks[i] = int64(i*977) % n
-	}
-	for _, rk := range ranks { // warm the scratch pool
-		var err error
-		if dst, err = cr.AppendRouteRanks(dst[:0], rk, (rk+1)%n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
+	i := int64(0)
 	if avg := testing.AllocsPerRun(400, func() {
-		rk := ranks[i&63]
+		rk := (i * 977) % n
 		i++
-		dst, _ = cr.AppendRouteRanks(dst[:0], rk, (rk+1)%n)
+		var ok bool
+		if dst, ok = tab.AppendRouteRanks(dst[:0], rk, (rk+1)%n); !ok {
+			t.Fatal("dense table at k=8 declined a rank pair")
+		}
 	}); avg != 0 {
-		t.Fatalf("warm table-mode AppendRouteRanks allocates %.2f objects per call, want 0", avg)
+		t.Fatalf("rank-lane AppendRouteRanks allocates %.2f objects per call, want 0", avg)
 	}
 }

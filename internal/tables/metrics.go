@@ -22,17 +22,13 @@ var (
 	mRanksBuilt = obs.Default.Counter("scg_table_ranks_built_total",
 		"quotient ranks materialized by table builders (dense builds and band faults)")
 	mBandsBuilt = obs.Default.Counter("scg_table_bands_built_total",
-		"banded-table bands materialized on demand or via Prebuild")
+		"banded-table bands materialized on demand")
 	mBandFaults = obs.Default.Counter("scg_table_band_faults_total",
-		"walks that hit an unbuilt band under FaultBuild")
+		"walks that hit an unbuilt band")
 	mDeclines = obs.Default.Counter("scg_table_declines_total",
-		"lookups declined to the router (absent start band under FaultDecline or a refused budget)")
+		"lookups declined to the caller because the residency budget refused the start band")
 	mBudgetRefused = obs.Default.Counter("scg_table_budget_refused_total",
 		"band faults refused by the residency budget")
-	mSnapshotSaves = obs.Default.Counter("scg_table_snapshot_saves_total",
-		"table snapshots written")
-	mSnapshotLoads = obs.Default.Counter("scg_table_snapshot_loads_total",
-		"table snapshots loaded")
 	hBuildNs = obs.Default.Pow2Hist("scg_table_build_ns",
 		"wall time of initial table builds, ns")
 )
@@ -42,7 +38,7 @@ var (
 var stFaultIn = obs.NewStage("table_fault_in")
 
 // liveTables is the census roster behind the callback gauges; every
-// Build/Load registers its table.
+// Build registers its table.
 var liveTables struct {
 	mu   sync.Mutex
 	list []*Table
@@ -76,7 +72,7 @@ func init() {
 	obs.Default.GaugeFunc("scg_table_resident_bytes",
 		"resident dims bytes across all live tables", func() float64 { return float64(AggregateStats().Bytes) })
 	obs.Default.GaugeFunc("scg_table_live",
-		"tables built or loaded in this process", func() float64 {
+		"tables built in this process", func() float64 {
 			liveTables.mu.Lock()
 			n := len(liveTables.list)
 			liveTables.mu.Unlock()

@@ -2,8 +2,7 @@ package tables
 
 // Concurrent band-publication tests, written to run under -race: many
 // goroutines route through one banded table while bands materialize
-// beneath them — FaultBuild readers racing each other's CAS publishes,
-// FaultDecline readers racing a Prebuild warmer, and a
+// beneath them — readers racing each other's CAS publishes, and a
 // budget-constrained table where mid-walk refusals substitute
 // GreedyDim.  In every case a route the table DOES serve must be
 // byte-identical to the dense reference: band publication may change
@@ -111,34 +110,6 @@ func TestRaceFaultBuildOutputIdentical(t *testing.T) {
 	}
 	if st := tab.Stats(); st.Bytes != nw.N() {
 		t.Errorf("fully faulted table resident %d bytes, want %d", st.Bytes, nw.N())
-	}
-}
-
-// TestRaceFaultDeclineVsPrebuild: FaultDecline readers racing a
-// Prebuild warmer publishing the same bands.  Declines are legal while
-// bands are absent; anything served must match the reference, and once
-// the warmer finishes a final single-threaded lap must serve
-// everything.
-func TestRaceFaultDeclineVsPrebuild(t *testing.T) {
-	nw := core.MustNew(core.MS, 5, 1)
-	refs := referenceRoutes(t, nw)
-	tab, err := Build(nw, Config{Mode: ModeBanded, BandBits: 4, Policy: FaultDecline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb := (nw.N() + (1 << 4) - 1) >> 4
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := tab.Prebuild(0, nb); err != nil {
-			t.Errorf("prebuild: %v", err)
-		}
-	}()
-	raceTable(t, nw, tab, refs, 8)
-	wg.Wait()
-	if total := raceTable(t, nw, tab, refs, 1); total != uint64(nw.N()) {
-		t.Errorf("warmed FaultDecline table served %d of %d ranks", total, nw.N())
 	}
 }
 

@@ -18,28 +18,25 @@
 // rerank (perm.RankSwapUpdate — no division, no O(k²) recompute).
 //
 // Dense tables at k ≤ FastLaneMaxK additionally carry two derived
-// fast-lane arrays that never ride in the snapshot: the successor-rank
-// array (each entry's incremental rerank, precomputed via
-// perm.RankAfterSwap, so the hot walk is a pure dims/next chase that
-// ranks w once and never mutates it) and the rank→permutation slab (so
-// rank-addressed routes — core.RankTable — resolve both endpoints with
-// slab reads instead of two division-heavy UnrankInto calls).
+// fast-lane arrays: the successor-rank array (each entry's incremental
+// rerank, precomputed via perm.RankAfterSwap, so the hot walk is a
+// pure dims/next chase that ranks w once and never mutates it) and the
+// rank→permutation slab (so rank-addressed routes — AppendRouteRanks —
+// resolve both endpoints with slab reads instead of two
+// division-heavy UnrankInto calls).
 //
-// Two residency modes share the format:
+// Two residency modes:
 //
 //   - dense (k ≤ DenseMaxK): one flat []uint8 of length k!, built in
 //     parallel by a worker pool walking rank bands (perm.UnrankInto at
 //     the band start, perm.Next per step).  k = 10 is 3 628 800 bytes.
 //   - banded (k ≤ BandedMaxK): the rank space is cut into 2^BandBits
 //     -entry bands materialized on demand.  A missing band at the walk
-//     start either faults the band in (FaultBuild) or declines the
-//     lookup (FaultDecline) so core.CachedRouter falls through to the
-//     LRU; a band missing mid-walk never declines — the walk swaps in
-//     core.GreedyDim for that hop, which is output-identical.
-//
-// Tables serialize to a versioned, checksummed, mmap-friendly snapshot
-// (snapshot.go) that embeds the dimension expansions, so loading needs
-// no Network; core.CachedRouter.UseTable re-validates name and k.
+//     start is faulted in, or, when the residency budget refuses the
+//     fault, the lookup declines so the caller (the shard engine)
+//     falls through to its kernel; a band missing mid-walk never
+//     declines — the walk swaps in core.GreedyDim for that hop, which
+//     is output-identical.
 package tables
 
 import (
@@ -100,26 +97,14 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
-// FaultPolicy says what a banded table does when the walk STARTS in an
-// unbuilt band.
+// FaultPolicy says what a banded table does when a walk meets an
+// unbuilt band.  FaultBuild is the only policy; Build rejects any
+// other value.
 type FaultPolicy uint8
 
-const (
-	// FaultBuild materializes the missing band synchronously and
-	// publishes it for every later route (the default).
-	FaultBuild FaultPolicy = iota
-	// FaultDecline refuses the lookup so the router falls through to
-	// the LRU/kernel; bands only appear via Prebuild or snapshot Load.
-	FaultDecline
-)
-
-// String names the policy.
-func (p FaultPolicy) String() string {
-	if p == FaultDecline {
-		return "decline"
-	}
-	return "build"
-}
+// FaultBuild materializes the missing band synchronously and publishes
+// it for every later route, unless the residency budget refuses it.
+const FaultBuild FaultPolicy = 0
 
 // Config parameterizes Build.  The zero value is ModeAuto,
 // DefaultBandBits, FaultBuild, GOMAXPROCS build workers, no residency
@@ -132,8 +117,8 @@ type Config struct {
 	// MaxResidentBytes bounds the banded table's materialized dims
 	// bytes (0 = unlimited; dense mode ignores it).  A band fault that
 	// would cross the budget is refused instead of built: at the walk
-	// start the lookup declines so the router falls through to its
-	// LRU/kernel, mid-walk the hop substitutes core.GreedyDim —
+	// start the lookup declines so the caller falls through to its
+	// kernel, mid-walk the hop substitutes core.GreedyDim —
 	// output-identical either way, so the budget trades speed for
 	// memory, never correctness.  Racing faulters may overshoot by at
 	// most (concurrent faulters − 1) bands.
@@ -141,8 +126,7 @@ type Config struct {
 }
 
 // Table is a precomputed next-dimension routing table for one network.
-// It implements core.QuotientTable.  All methods are safe for
-// concurrent use once Build/Load returns.
+// All methods are safe for concurrent use once Build returns.
 type Table struct {
 	name string
 	k    int
@@ -152,8 +136,7 @@ type Table struct {
 	// from core.Network.DimExpansion so the table is self-contained.
 	exp [][]gens.GenIndex
 
-	mode   Mode // ModeDense or ModeBanded (never ModeAuto)
-	policy FaultPolicy
+	mode Mode // ModeDense or ModeBanded (never ModeAuto)
 
 	// Dense residency: the whole table, dims[rank] ∈ {0, 2..k}.
 	dims []uint8
@@ -188,7 +171,6 @@ type Stats struct {
 	Name          string
 	K             int
 	Mode          string
-	Policy        string
 	BandsBuilt    int64 // bands materialized (dense: total bands = 1 slab)
 	BandFaults    int64 // on-demand materializations triggered by routing
 	BudgetRefused int64 // band faults refused by the residency budget
@@ -199,8 +181,7 @@ type Stats struct {
 
 // Build constructs the table for nw by walking the quotient rank space
 // with cfg.Workers parallel band walkers.  Dense mode fills the whole
-// table; banded mode builds nothing up front (bands appear on demand
-// or via Prebuild).
+// table; banded mode builds nothing up front (bands appear on demand).
 func Build(nw *core.Network, cfg Config) (*Table, error) {
 	k := nw.K()
 	mode := cfg.Mode
@@ -223,6 +204,9 @@ func Build(nw *core.Network, cfg Config) (*Table, error) {
 	default:
 		return nil, fmt.Errorf("tables: unknown mode %v", cfg.Mode)
 	}
+	if cfg.Policy != FaultBuild {
+		return nil, fmt.Errorf("tables: unknown fault policy %d", cfg.Policy)
+	}
 	bandBits := cfg.BandBits
 	if bandBits == 0 {
 		bandBits = DefaultBandBits
@@ -235,7 +219,6 @@ func Build(nw *core.Network, cfg Config) (*Table, error) {
 		k:        k,
 		n:        nw.N(),
 		mode:     mode,
-		policy:   cfg.Policy,
 		bandBits: bandBits,
 		bandMask: int64(1)<<bandBits - 1,
 		budget:   cfg.MaxResidentBytes,
@@ -271,8 +254,7 @@ func Build(nw *core.Network, cfg Config) (*Table, error) {
 // the same walk: perms records each rank's permutation bytes (k per
 // rank) and next the rank after the greedy star move (RankAfterSwap —
 // the walker knows r, so the incremental rerank is exact and cheap).
-// Any output may be nil: band builds pass only dims, snapshot Load
-// re-derives only the fast lane.
+// perms and next may be nil: band builds pass only dims.
 func buildRange(dims, perms []uint8, next []uint32, k int, lo, hi int64, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -331,28 +313,6 @@ func buildRange(dims, perms []uint8, next []uint32, k int, lo, hi int64, workers
 	}
 }
 
-// Name returns the network name the table was built for.
-func (t *Table) Name() string { return t.name }
-
-// K returns the symbol count.
-func (t *Table) K() int { return t.k }
-
-// N returns the number of quotient ranks, k!.
-func (t *Table) N() int64 { return t.n }
-
-// Mode returns the residency mode (dense or banded).
-func (t *Table) Mode() Mode { return t.mode }
-
-// Policy returns the banded fault policy.
-func (t *Table) Policy() FaultPolicy { return t.policy }
-
-// SetBudget installs (or clears, with 0) the residency budget.
-// Snapshots do not carry the budget — it is deployment configuration,
-// not table state — so loaders re-apply it here.  SetBudget is a setup
-// call: it must not race with routing.  A loaded table already over
-// the new budget keeps its bands; only further faults are refused.
-func (t *Table) SetBudget(b int64) { t.budget = b }
-
 // Bytes returns the resident table payload in bytes: built dims bands
 // plus the rank→permutation slab when present (expansions and headers
 // are noise by comparison).
@@ -364,7 +324,6 @@ func (t *Table) Stats() Stats {
 		Name:          t.name,
 		K:             t.k,
 		Mode:          t.mode.String(),
-		Policy:        t.policy.String(),
 		BandsBuilt:    t.bandsBuilt.Load(),
 		BandFaults:    t.bandFaults.Load(),
 		BudgetRefused: t.budgetRefused.Load(),
@@ -376,25 +335,6 @@ func (t *Table) Stats() Stats {
 
 func (t *Table) numBands() int64 {
 	return (t.n + t.bandMask) >> t.bandBits
-}
-
-// Prebuild materializes bands [loBand, hiBand) of a banded table (no-op
-// on dense tables), for warming a FaultDecline table deliberately.  It
-// stops early — without error — at the first band the residency budget
-// refuses: warming fills the budget and leaves the rest on demand.
-func (t *Table) Prebuild(loBand, hiBand int64) error {
-	if t.mode == ModeDense {
-		return nil
-	}
-	if nb := t.numBands(); loBand < 0 || hiBand > nb || loBand > hiBand {
-		return fmt.Errorf("tables: Prebuild band range [%d, %d) out of [0, %d)", loBand, hiBand, nb)
-	}
-	for b := loBand; b < hiBand; b++ {
-		if t.band(b) == nil {
-			return nil
-		}
-	}
-	return nil
 }
 
 // band returns band b, materializing and publishing it if absent, or
@@ -432,15 +372,14 @@ func (t *Table) band(b int64) *[]uint8 {
 	return p
 }
 
-// AppendRouteRanks implements core.RankTable: it serves the route for
-// an endpoint-rank pair entirely from precomputed state.  Both
-// endpoints come from the rank→permutation slab (two reads — no
-// UnrankInto divisions), the quotient v⁻¹∘u is composed into stack
-// arrays, and the walk is appendDense.  Declines (dst unchanged) when
-// the table carries no slab: banded mode, or dense with k >
-// FastLaneMaxK, where the router's standard unrank path takes over.
-// Ranks must be in [0, N); the slab slices are read-only and never
-// escape.
+// AppendRouteRanks serves the route for an endpoint-rank pair entirely
+// from precomputed state.  Both endpoints come from the
+// rank→permutation slab (two reads — no UnrankInto divisions), the
+// quotient v⁻¹∘u is composed into stack arrays, and the walk is
+// appendDense.  Declines (dst unchanged) when the table carries no
+// slab: banded mode, or dense with k > FastLaneMaxK, where the
+// caller's standard unrank path takes over.  Ranks must be in [0, N);
+// the slab slices are read-only and never escape.
 //
 //scg:noalloc
 func (t *Table) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64) ([]gens.GenIndex, bool) {
@@ -458,12 +397,12 @@ func (t *Table) AppendRouteRanks(dst []gens.GenIndex, src, dstRank int64) ([]gen
 	return t.appendDense(dst, w), true
 }
 
-// AppendQuotientRoute implements core.QuotientTable: it appends the
-// canonical route sorting quotient w to the identity and reports
-// whether the table served it.  A FaultDecline banded table declines
-// (dst and w untouched) when the starting band is absent; every other
-// case succeeds, using w as scratch (the digits walk consumes it, the
-// fast-lane chase only ranks it).
+// AppendQuotientRoute appends the canonical route sorting quotient w
+// to the identity and reports whether the table served it.  A banded
+// table declines (dst and w untouched) when the residency budget
+// refuses the starting band; every other case succeeds, using w as
+// scratch (the digits walk consumes it, the fast-lane chase only ranks
+// it).
 func (t *Table) AppendQuotientRoute(dst []gens.GenIndex, w perm.Perm) ([]gens.GenIndex, bool) {
 	if t.mode == ModeDense {
 		return t.appendDense(dst, w), true
@@ -512,21 +451,17 @@ func (t *Table) appendDense(dst []gens.GenIndex, w perm.Perm) []gens.GenIndex {
 }
 
 // appendBanded is the dense walk against on-demand bands.  A walk that
-// STARTS in an absent band declines under FaultDecline, and under
-// FaultBuild when the residency budget refuses the fault — either way
-// the router falls through to its LRU/kernel.  Absent bands mid-walk
-// never decline: FaultBuild materializes them (budget permitting),
-// otherwise the hop substitutes core.GreedyDim — the same value the
-// band would hold, so the route bytes are identical either way.
+// STARTS in an absent band faults it in, and declines when the
+// residency budget refuses the fault — the caller then falls through
+// to its kernel.  Absent bands mid-walk never decline: they are
+// faulted in too (budget permitting), otherwise the hop substitutes
+// core.GreedyDim — the same value the band would hold, so the route
+// bytes are identical either way.
 func (t *Table) appendBanded(dst []gens.GenIndex, w perm.Perm) ([]gens.GenIndex, bool) {
 	var digArr [perm.MaxK]int32
 	dig := digArr[:len(w)]
 	rank := perm.LehmerDigitsInto(dig, w)
 	if t.bands[rank>>t.bandBits].Load() == nil {
-		if t.policy == FaultDecline {
-			mDeclines.Inc()
-			return dst, false
-		}
 		t.bandFaults.Add(1)
 		mBandFaults.Inc()
 		if t.band(rank>>t.bandBits) == nil {
@@ -539,7 +474,7 @@ func (t *Table) appendBanded(dst []gens.GenIndex, w perm.Perm) ([]gens.GenIndex,
 		var d uint8
 		if p := t.bands[rank>>t.bandBits].Load(); p != nil {
 			d = (*p)[rank&t.bandMask]
-		} else if t.policy == FaultBuild {
+		} else {
 			t.bandFaults.Add(1)
 			mBandFaults.Inc()
 			if p := t.band(rank >> t.bandBits); p != nil {
@@ -547,8 +482,6 @@ func (t *Table) appendBanded(dst []gens.GenIndex, w perm.Perm) ([]gens.GenIndex,
 			} else {
 				d = uint8(core.GreedyDim(w))
 			}
-		} else {
-			d = uint8(core.GreedyDim(w))
 		}
 		if d == 0 {
 			mTableRoutes.Inc()
